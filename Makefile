@@ -10,13 +10,14 @@ export PYTHONPATH
 
 .PHONY: ci test ruff repro-lint repro-verify repro-det repro-hot \
 	repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize backend-matrix compiled-backend mypy \
-	perf-guard backend-perf-guard heavy-traffic-smoke
+	parallel-smoke sanitize perfbench-check backend-matrix \
+	compiled-backend mypy perf-guard backend-perf-guard \
+	heavy-traffic-smoke
 
 ci: test ruff repro-lint repro-verify repro-det repro-hot \
 	hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize backend-matrix mypy perf-guard \
-	backend-perf-guard heavy-traffic-smoke
+	parallel-smoke sanitize perfbench-check backend-matrix mypy \
+	perf-guard backend-perf-guard heavy-traffic-smoke
 	@echo "== ci: all jobs done =="
 
 test:
@@ -78,6 +79,17 @@ sanitize:
 	@echo "== ci job: sanitize =="
 	$(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize --bench-dir /tmp/repro-sanitize
 	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize --bench-dir /tmp/repro-sanitize
+
+# The benchmark's output checks as a gate: fails unless the last line
+# of perfbench/run.py reports "correct": true.
+perfbench-check:
+	@echo "== ci job: perfbench-check =="
+	$(PYTHON) perfbench/run.py --workload all --seed 0 --seconds 0 \
+		> /tmp/repro-perfbench.log; status=$$?; \
+		cat /tmp/repro-perfbench.log; test $$status -eq 0
+	@tail -n 1 /tmp/repro-perfbench.log | $(PYTHON) -c "import json, sys; \
+		sys.exit(0 if json.load(sys.stdin)['correct'] \
+		else 'perfbench: output checks failed')"
 
 compiled-backend:
 	@echo "== build: compiled kernel backend (_ckernel) =="

@@ -24,7 +24,8 @@ The JSON schema is flat and versioned::
       "partitions": 1,
       "peak_rss_bytes": 48234496,
       "sessions": null,
-      "kernel_backend": null
+      "kernel_backend": "python",
+      "state_backend": "objects"
     }
 
 ``deterministic`` is stamped by the ``repro-det --perturb`` differ
@@ -40,8 +41,11 @@ paper-scale experiments, whose session count is fixed by the MIX/CROSS
 configuration.
 
 ``kernel_backend`` names the dispatch engine the run selected
-("python", "batch", "compiled"); ``null`` for records that predate
-pluggable backends or that ran on the ambient default.
+("python", "batch", "compiled") and ``state_backend`` the per-session
+state representation ("objects", "soa"), each as resolved from the
+argument, the ``REPRO_*_BACKEND`` environment variable, or the
+default.  Either is ``null`` for records that predate it or whose
+cells mixed backends.
 
 ``simulated_s`` is the *total* simulated horizon across all cells of
 the sweep (duration × cells for a uniform sweep), so
@@ -133,10 +137,14 @@ class BenchRecord:
     #: fixed-population experiments.  Additive default.
     sessions: Optional[int] = None
     #: Kernel dispatch engine the run used ("python", "batch",
-    #: "compiled"); None for records that predate pluggable backends
-    #: or whose backend is the ambient default.  Additive default —
-    #: same compatibility story as ``deterministic``.
+    #: "compiled"); None for records that predate pluggable backends.
+    #: Additive default — same compatibility story as
+    #: ``deterministic``.
     kernel_backend: Optional[str] = None
+    #: Session-state backend the run used ("objects", "soa"); None for
+    #: records that predate the field or whose cells mixed backends.
+    #: Additive default, as above.
+    state_backend: Optional[str] = None
 
 
 class Stopwatch:
@@ -198,7 +206,8 @@ def make_record(experiment: str, *, wall_time_s: float,
                 partitions: int = 1,
                 peak_rss: Optional[int] = None,
                 sessions: Optional[int] = None,
-                kernel_backend: Optional[str] = None) -> BenchRecord:
+                kernel_backend: Optional[str] = None,
+                state_backend: Optional[str] = None) -> BenchRecord:
     """Assemble a record, deriving events/sec, RSS, and the git rev.
 
     ``peak_rss`` overrides the stamped high-water mark — scale sweeps
@@ -220,6 +229,7 @@ def make_record(experiment: str, *, wall_time_s: float,
         else peak_rss_bytes(),
         sessions=sessions,
         kernel_backend=kernel_backend,
+        state_backend=state_backend,
     )
 
 

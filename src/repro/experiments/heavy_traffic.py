@@ -69,6 +69,8 @@ from repro.net.topology import PaperTopology
 from repro.sched.edd import DelayEDD
 from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
+from repro.sim.backends import resolve_backend
+from repro.sim.collector import collector_paused
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.superposed import SuperposedPoissonSource
 from repro.units import T1_RATE_BPS, to_ms
@@ -160,21 +162,24 @@ def _cell(*, topology: str, discipline: str, backend: str,
     shared_sink = Sink("aggregate", keep_samples=False) \
         if aggregate else None
     members: List[Session] = []
-    for index in range(sessions):
-        session = Session(f"h{index}", rate=per_session_rate,
-                          route=route, l_max=PAPER_PACKET_BITS)
-        network.add_session(session, sink=shared_sink,
-                            keep_samples=False)
-        members.append(session)
-        if not aggregate:
-            PoissonSource(network, session,
-                          length=PAPER_PACKET_BITS,
-                          mean=mean_per_session)
-    if aggregate:
-        SuperposedPoissonSource(network, members,
-                                length=PAPER_PACKET_BITS,
-                                mean=mean_per_session)
-    network.run(duration)
+    # The build allocates millions of long-lived objects, none of them
+    # garbage; keep the cyclic collector out of it as Network.run does.
+    with collector_paused():
+        for index in range(sessions):
+            session = Session(f"h{index}", rate=per_session_rate,
+                              route=route, l_max=PAPER_PACKET_BITS)
+            network.add_session(session, sink=shared_sink,
+                                keep_samples=False)
+            members.append(session)
+            if not aggregate:
+                PoissonSource(network, session,
+                              length=PAPER_PACKET_BITS,
+                              mean=mean_per_session)
+        if aggregate:
+            SuperposedPoissonSource(network, members,
+                                    length=PAPER_PACKET_BITS,
+                                    mean=mean_per_session)
+        network.run(duration)
     if aggregate:
         received = shared_sink.received
         mean_delay = shared_sink.delay.mean
@@ -333,6 +338,8 @@ def run(*, duration: float = 2.0, seed: int = 0,
         cells=len(cell_list),
         sessions=sessions,
         peak_rss=max(rss_values) if rss_values else None,
+        kernel_backend=resolve_backend(),
+        state_backend=backends[0] if len(set(backends)) == 1 else None,
     ))
     return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)
 

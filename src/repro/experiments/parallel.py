@@ -45,6 +45,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.analysis import bench
 from repro.errors import SimulationError
+from repro.net.network import resolve_state_backend
+from repro.sim.backends import resolve_backend
 
 try:  # pragma: no cover - import gate for exotic builds
     import multiprocessing
@@ -167,6 +169,10 @@ def run_cells(experiment: str, cells: Iterable[Cell], *,
         workers=effective,
         simulated_s=sum(output.simulated for output in outputs),
         cells=len(cell_list),
+        # Pool workers inherit the environment the backends resolve
+        # from, so the parent's resolution is every cell's.
+        kernel_backend=resolve_backend(),
+        state_backend=resolve_state_backend(),
     )
     bench.emit(record)
     return [output.value for output in outputs]

@@ -19,6 +19,7 @@ from repro.net.node import ServerNode
 from repro.net.packet import Packet
 from repro.net.session import Session
 from repro.net.sink import Sink
+from repro.sim.collector import collector_paused
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -29,11 +30,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.session_table import SessionTable
     from repro.sim.parallel import ShardContext
 
-__all__ = ["Network"]
+__all__ = ["Network", "resolve_state_backend"]
 
 #: Recognised values for ``Network(state_backend=...)`` and the
 #: ``REPRO_STATE_BACKEND`` environment variable.
 _BACKENDS = ("objects", "soa")
+
+
+def resolve_state_backend(requested: Optional[str] = None) -> str:
+    """Resolve a state backend name: argument > env var > ``"objects"``.
+
+    Raises :class:`~repro.errors.ConfigurationError` for unknown names.
+    """
+    name = requested
+    if name is None:
+        name = os.environ.get("REPRO_STATE_BACKEND", "").strip() \
+            or "objects"
+    if name not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown state_backend {name!r}; "
+            f"expected one of {_BACKENDS}")
+    return name
 
 
 class Network:
@@ -59,13 +76,7 @@ class Network:
                  sanitizer: Optional["Sanitizer"] = None,
                  state_backend: Optional[str] = None) -> None:
         self.sim = sim or Simulator()
-        if state_backend is None:
-            state_backend = os.environ.get(
-                "REPRO_STATE_BACKEND", "").strip() or "objects"
-        if state_backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown state_backend {state_backend!r}; "
-                f"expected one of {_BACKENDS}")
+        state_backend = resolve_state_backend(state_backend)
         self.state_backend = state_backend
         self.session_table: Optional["SessionTable"] = None
         if state_backend == "soa":
@@ -323,18 +334,24 @@ class Network:
         Under ``--sanitize``, end-of-run balance checks execute here
         and a :class:`~repro.analysis.verify.sanitizer.SanitizerError`
         is raised when any invariant was violated during the run.
+
+        The whole call runs with CPython's cyclic garbage collector
+        paused (:func:`~repro.sim.collector.collector_paused`); the
+        caller's collector state is restored however the call exits.
         """
-        for source in self.sources:
-            start = getattr(source, "start", None)
-            if start is not None and not getattr(source, "started", False):
-                start()
-        self.sim.run(until=duration)
-        san = self.sanitizer
-        if san is not None:
-            san.finalize(self)
-            if san.violations or san.dropped_violations:
-                from repro.analysis.verify.sanitizer import SanitizerError
-                raise SanitizerError(san.report().to_json())
+        with collector_paused():
+            for source in self.sources:
+                start = getattr(source, "start", None)
+                started = getattr(source, "started", False)
+                if start is not None and not started:
+                    start()
+            self.sim.run(until=duration)
+            san = self.sanitizer
+            if san is not None:
+                san.finalize(self)
+                if san.violations or san.dropped_violations:
+                    from repro.analysis.verify.sanitizer import SanitizerError
+                    raise SanitizerError(san.report().to_json())
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -15,8 +15,11 @@ The public surface:
   substreams so each traffic source gets an independent stream.
 * Monitors in :mod:`repro.sim.monitor` — tallies, time-weighted
   statistics, and time-series recorders used by the measurement layer.
+* :func:`~repro.sim.collector.collector_paused` — keeps CPython's
+  cyclic garbage collector out of a run.
 """
 
+from repro.sim.collector import collector_paused
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Counter, Tally, TimeSeries, TimeWeighted
@@ -36,4 +39,5 @@ __all__ = [
     "TimeWeighted",
     "Tracer",
     "TraceRecord",
+    "collector_paused",
 ]

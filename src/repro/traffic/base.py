@@ -9,7 +9,7 @@ to obtain the paper's "simulated upper bound" without a second run.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, cast
 
 from repro.net.network import Network
 from repro.net.session import Session
@@ -49,7 +49,8 @@ class TrafficSource:
         Offset before the first interval is drawn, useful to desynchronize
         deterministic sources.
     keep_trace:
-        Record (emission time, length) pairs.
+        Record (emission time, length) pairs in ``trace_times`` and
+        ``trace_lengths``; both are empty sequences when off.
     max_packets:
         Stop after emitting this many packets (None = unbounded).
     """
@@ -74,8 +75,10 @@ class TrafficSource:
         self.keep_trace = keep_trace
         self.max_packets = max_packets
         self.emitted = 0
-        self.trace_times: List[float] = []
-        self.trace_lengths: List[float] = []
+        # Without tracing both read as the shared empty tuple, so a
+        # 10^5-session build allocates no per-source trace lists.
+        self.trace_times: Sequence[float] = [] if keep_trace else ()
+        self.trace_lengths: Sequence[float] = [] if keep_trace else ()
         self.started = False
         self._process: Optional[Process] = None
         network.add_source(self)
@@ -139,5 +142,5 @@ class TrafficSource:
         network.inject(self.session, length)
         self.emitted += 1
         if self.keep_trace:
-            self.trace_times.append(network.sim.now)
-            self.trace_lengths.append(length)
+            cast(List[float], self.trace_times).append(network.sim.now)
+            cast(List[float], self.trace_lengths).append(length)

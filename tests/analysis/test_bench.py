@@ -48,6 +48,17 @@ class TestRecord:
             workers=1, simulated_s=1.0, cells=8, partitions=4)
         assert record.partitions == 4
 
+    def test_state_backend_defaults_to_unknown(self):
+        assert sample_record().state_backend is None
+
+    def test_state_backend_is_stamped(self):
+        record = bench.make_record(
+            "heavy", wall_time_s=1.0, events_dispatched=10, workers=1,
+            simulated_s=1.0, cells=1, kernel_backend="python",
+            state_backend="soa")
+        assert record.state_backend == "soa"
+        assert record.kernel_backend == "python"
+
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
@@ -87,6 +98,22 @@ class TestRoundTrip:
         del payload["partitions"]  # a pre-space-parallel record
         path.write_text(json.dumps(payload))
         assert bench.read_record(path).partitions == 1
+
+    def test_state_backend_round_trips(self, tmp_path):
+        record = bench.make_record(
+            "heavy", wall_time_s=1.0, events_dispatched=10, workers=1,
+            simulated_s=1.0, cells=1, state_backend="objects")
+        loaded = bench.read_record(bench.write_record(record, tmp_path))
+        assert loaded == record
+        assert loaded.state_backend == "objects"
+
+    def test_records_without_the_state_backend_key_still_load(
+            self, tmp_path):
+        path = bench.write_record(sample_record(), tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["state_backend"]  # a record from before the field
+        path.write_text(json.dumps(payload))
+        assert bench.read_record(path).state_backend is None
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = bench.write_record(sample_record(), tmp_path)

@@ -174,3 +174,18 @@ def test_cli_writes_bench_record(tmp_path, capsys):
     assert record.events_dispatched > 0
     assert record.simulated_s == pytest.approx(2.0)
     assert record.wall_time_s > 0
+
+
+def test_cli_bench_record_names_the_selected_backends(tmp_path,
+                                                      monkeypatch):
+    from repro.analysis import bench
+    # main() pins the selections in the environment for pool workers;
+    # setting them here first makes monkeypatch undo that afterwards.
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+    monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
+    assert main(["figure08", "--duration", "2", "--workers", "1",
+                 "--kernel-backend", "batch",
+                 "--bench-dir", str(tmp_path)]) == 0
+    record = bench.read_record(tmp_path / "BENCH_fig08.json")
+    assert record.kernel_backend == "batch"
+    assert record.state_backend == "objects"

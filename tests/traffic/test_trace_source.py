@@ -1,5 +1,7 @@
 """Unit tests for trace replay."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -44,6 +46,21 @@ def test_start_delay_shifts_schedule():
                          start_delay=2.0, keep_trace=True)
     network.run(10.0)
     assert source.trace_times == pytest.approx([2.0, 3.0])
+
+
+def test_no_trace_kept_by_default():
+    # Without keep_trace the trace attributes read as empty sequences
+    # and allocate no per-source, GC-tracked lists.
+    network = make_network(FCFS, capacity=1e6)
+    session = Session("s", rate=1000.0, route=["n1"], l_max=100.0)
+    network.add_session(session)
+    source = TraceSource(network, session, times=[0.0, 1.0],
+                         lengths=100.0)
+    network.run(10.0)
+    assert source.emitted == 2
+    for trace in (source.trace_times, source.trace_lengths):
+        assert len(trace) == 0 and list(trace) == []
+        assert not gc.is_tracked(trace)
 
 
 def test_rejects_decreasing_times():
