@@ -98,7 +98,7 @@ compiled-backend:
 
 backend-matrix: compiled-backend
 	@echo "== ci job: backend-matrix =="
-	@for b in python batch compiled; do \
+	@for b in python compiled; do \
 		echo "-- backend: $$b --"; \
 		$(PYTHON) -m pytest -q \
 			tests/sim/test_dispatch_digest.py \
@@ -129,7 +129,7 @@ perf-guard:
 
 backend-perf-guard: compiled-backend
 	@echo "== ci job: backend-perf-guard (soft-fail) =="
-	@for b in python batch compiled; do \
+	@for b in python compiled; do \
 		$(PYTHON) -m repro.analysis.throughput --kernel-backend $$b \
 				--best-of 5 --out /tmp/repro-perf \
 			&& $(PYTHON) -m repro.analysis.bench compare \

@@ -41,7 +41,7 @@ paper-scale experiments, whose session count is fixed by the MIX/CROSS
 configuration.
 
 ``kernel_backend`` names the dispatch engine the run selected
-("python", "batch", "compiled") and ``state_backend`` the per-session
+("python", "compiled") and ``state_backend`` the per-session
 state representation ("objects", "soa"), each as resolved from the
 argument, the ``REPRO_*_BACKEND`` environment variable, or the
 default.  Either is ``null`` for records that predate it or whose
@@ -136,8 +136,9 @@ class BenchRecord:
     #: heavy-traffic experiment, ``throughput --sessions``); None for
     #: fixed-population experiments.  Additive default.
     sessions: Optional[int] = None
-    #: Kernel dispatch engine the run used ("python", "batch",
-    #: "compiled"); None for records that predate pluggable backends.
+    #: Kernel dispatch engine the run used ("python", "compiled");
+    #: older records may name a since-removed engine ("batch"); None
+    #: for records that predate pluggable backends.
     #: Additive default — same compatibility story as
     #: ``deterministic``.
     kernel_backend: Optional[str] = None

@@ -27,7 +27,7 @@ with its own committed baseline.  Re-record *all* backends
 back-to-back when touching any of them — the committed numbers carry
 the cross-backend speedup claims in docs/performance.md::
 
-    for b in python batch compiled; do
+    for b in python compiled; do
         PYTHONPATH=src python -m repro.analysis.throughput \\
             --kernel-backend $b
     done
@@ -63,13 +63,12 @@ BASELINE = Path("benchmarks") / "baselines" / "BENCH_throughput.json"
 #: record above, which stays byte-identical to its PR 3 definition.
 KERNEL_EXPERIMENTS = {
     "python": "throughput_python",
-    "batch": "throughput_batch",
     "compiled": "throughput_compiled",
 }
 
 #: Concurrent tick chains of the per-backend fan-out spin.  1024 makes
-#: every instant a 1024-event same-(time, priority) run: the batch
-#: backend's drained-run shape and a 10-deep heap for the others.
+#: every instant a 1024-event same-(time, priority) run over a
+#: 10-deep heap.
 BACKEND_FANOUT = 1024
 
 #: Simulated seconds per fan-out run: 0.25 s x 1024 chains at one

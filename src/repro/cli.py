@@ -120,14 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "sets REPRO_STATE_BACKEND so sweep worker "
                              "processes inherit it (default: objects)")
     parser.add_argument("--kernel-backend",
-                        choices=["python", "batch", "compiled"],
+                        choices=["python", "compiled"],
                         default=None,
                         help="kernel dispatch engine: 'python' "
-                             "(reference fused loop), 'batch' "
-                             "(same-instant run draining, pure "
-                             "stdlib), or 'compiled' (C core, needs "
-                             "`make compiled-backend`); sets "
-                             "REPRO_KERNEL_BACKEND so sweep worker "
+                             "(reference fused loop) or 'compiled' "
+                             "(C core, needs `make compiled-backend`); "
+                             "sets REPRO_KERNEL_BACKEND so sweep worker "
                              "processes inherit it (default: python)")
     parser.add_argument("--sanitize", action="store_true",
                         help="install runtime conservation-law checkers "

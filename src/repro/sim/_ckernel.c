@@ -5,9 +5,9 @@
  * data structures.  The heap stays a Python list of
  * (time, priority, seq, Event) tuples, so scheduling from callbacks
  * (which runs the ordinary Python schedule()) interleaves freely with
- * the C pops, and every other backend sees an identical queue layout.
+ * the C pops, and the Python cold paths see an identical queue layout.
  *
- * Semantics are held to the same bar as the Python backends: the
+ * Semantics are held to the same bar as the Python reference: the
  * dispatch-digest goldens and the fused-vs-naive hypothesis suite run
  * bit-identically.  Specifically:
  *

@@ -1,23 +1,16 @@
 """Pluggable kernel backends: selection, registry, and availability.
 
 The dispatch engine behind :class:`repro.sim.kernel.Simulator` is
-swappable.  Every backend implements the same five-method contract
-(:class:`~repro.sim.backends.base.KernelBackend`: ``schedule`` /
-``schedule_at`` / ``pop`` / ``dispatch`` / ``clear``) and must be
-*behaviourally invisible* — bit-identical dispatch digests on the
-golden workloads and the fused-vs-naive hypothesis property suite,
-both parameterized over every backend in CI.
+swappable.  Every backend is a :class:`~repro.sim.kernel.Simulator`
+subclass held to the contract written down in that class's docstring
+and must be *behaviourally invisible* — bit-identical dispatch digests
+on the golden workloads and the fused-vs-naive hypothesis property
+suite, both parameterized over every backend in CI.
 
-Three backends ship:
+Two backends ship:
 
 ``python``
     The reference fused loop in :mod:`repro.sim.kernel`, untouched.
-``batch``
-    :class:`~repro.sim.backends.batch.BatchSimulator` — defers
-    callback-time scheduling into a buffer and drains maximal
-    same-``(time, priority)`` runs without re-entering per-event heap
-    bookkeeping.  Pure stdlib; fastest on tie-heavy workloads (the
-    heavy-traffic regime).
 ``compiled``
     :class:`~repro.sim.backends.compiled.CompiledSimulator` — the
     dispatch loop as a hand-written CPython extension
@@ -37,7 +30,6 @@ import os
 from typing import TYPE_CHECKING, Tuple, Type
 
 from repro.errors import ConfigurationError
-from repro.sim.backends.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -46,7 +38,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ENV_KERNEL_BACKEND",
     "KERNEL_BACKENDS",
-    "KernelBackend",
     "available_backends",
     "compiled_available",
     "resolve_backend",
@@ -58,7 +49,7 @@ __all__ = [
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: Every selectable backend name, in documentation order.
-KERNEL_BACKENDS: Tuple[str, ...] = ("python", "batch", "compiled")
+KERNEL_BACKENDS: Tuple[str, ...] = ("python", "compiled")
 
 #: The reference implementation wins when nothing is requested.
 DEFAULT_BACKEND = "python"
@@ -91,9 +82,6 @@ def simulator_class(name: str) -> Type["Simulator"]:
     if name == "python":
         from repro.sim.kernel import Simulator
         return Simulator
-    if name == "batch":
-        from repro.sim.backends.batch import BatchSimulator
-        return BatchSimulator
     if name == "compiled":
         from repro.sim.backends.compiled import CompiledSimulator
         return CompiledSimulator
@@ -111,8 +99,8 @@ def compiled_available() -> bool:
 def available_backends() -> Tuple[str, ...]:
     """The backends usable in this environment, in registry order.
 
-    ``python`` and ``batch`` are pure stdlib and always present;
-    ``compiled`` appears only when the extension is built.
+    ``python`` is pure stdlib and always present; ``compiled``
+    appears only when the extension is built.
     """
     if compiled_available():
         return KERNEL_BACKENDS

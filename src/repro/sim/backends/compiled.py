@@ -19,9 +19,9 @@ truth, and :func:`require_ckernel` raises an actionable
     # equivalently: REPRO_BUILD_CKERNEL=1 python setup.py build_ext \\
     #               --inplace
 
-No compiler, no problem: select the ``batch`` backend instead, which
-is pure stdlib and covers the tie-heavy regime (docs/performance.md
-has the decision table).
+No compiler, no problem: select the ``python`` backend instead — the
+pure-stdlib reference loop and the default (docs/performance.md has
+the decision table).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ def require_ckernel() -> Any:
         raise SimulationError(
             "the 'compiled' kernel backend requires the repro.sim."
             f"_ckernel extension, which is not built; run {BUILD_HINT} "
-            "or select the pure-Python 'batch' backend instead")
+            "or select the 'python' backend (pure stdlib, the "
+            "default) instead")
     return _ckernel
 
 
@@ -70,6 +71,12 @@ class CompiledSimulator(Simulator):
     ``REPRO_KERNEL_BACKEND=compiled``.  Construction fails with the
     build hint when the extension is absent — backend selection is the
     right place to find that out, not the first ``run()``.
+
+    Holds the :class:`Simulator` contract: the C loop pops the same
+    ``(time, priority, seq, Event)`` heap entries in the same total
+    order, marks each handle stale at dispatch, recycles only events
+    no caller still references, and stops at the inclusive or
+    exclusive ``until`` horizon exactly where the reference loop does.
     """
 
     __slots__ = ()

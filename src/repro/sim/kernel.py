@@ -32,13 +32,12 @@ Design notes
 * The dispatch engine is *pluggable*: ``Simulator(backend=...)`` is a
   factory that resolves a backend name (argument >
   ``REPRO_KERNEL_BACKEND`` > ``"python"``) and builds the matching
-  implementation class — this reference loop, the batch-dispatch
-  engine, or the compiled C core (:mod:`repro.sim.backends`).  Every
-  backend honours the five-method contract in
-  :mod:`repro.sim.backends.base` and is held to bit-identical dispatch
-  digests.  Subclasses other than :class:`Simulator` itself are never
-  redirected, so test doubles and the perturbation kernels instantiate
-  directly.
+  implementation class — this reference loop or the compiled C core
+  (:mod:`repro.sim.backends`).  Every backend honours the contract in
+  the :class:`Simulator` docstring and is held to bit-identical
+  dispatch digests.  Subclasses other than :class:`Simulator` itself
+  are never redirected, so test doubles and the perturbation kernels
+  instantiate directly.
 """
 
 from __future__ import annotations
@@ -101,7 +100,26 @@ def _raise_stop() -> None:
 
 
 class Simulator:
-    """Discrete-event simulator: virtual clock plus event loop."""
+    """Discrete-event simulator: virtual clock plus event loop.
+
+    This class is also the reference for every kernel backend
+    (:mod:`repro.sim.backends`).  A backend subclasses it and must keep
+    this contract exactly:
+
+    * ``schedule``/``schedule_at`` return a live, cancellable
+      :class:`~repro.sim.events.Event` handle and establish the
+      ``(time, priority, seq)`` total order — insertion order breaks
+      ties, bit-for-bit identically across backends (the digest
+      goldens in ``tests/sim/test_dispatch_digest.py`` enforce this,
+      parameterized over every backend);
+    * a handle goes stale once its event is dispatched, popped or
+      cleared: a later ``cancel()`` is a no-op, even after the event
+      object has been recycled for a new event;
+    * ``run`` drains events in that order and honours the inclusive
+      and exclusive ``until`` horizons and the ``max_events`` valve
+      exactly as the reference loop does, sentinel tie classes
+      included.
+    """
 
     __slots__ = ("_queue", "now", "_running", "_dispatched", "sanitizer")
 
@@ -228,28 +246,18 @@ class Simulator:
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event without running it.
 
-        Part of the backend contract
-        (:class:`~repro.sim.backends.base.KernelBackend`): the handle
-        goes stale exactly as it would at dispatch, so a later
-        ``cancel()`` is a no-op.  Returns ``None`` when nothing is
-        pending.
+        The handle goes stale exactly as it would at dispatch, so a
+        later ``cancel()`` is a no-op.  Returns ``None`` when nothing
+        is pending.
         """
         return self._queue.pop()
-
-    def dispatch(self, until: Optional[float] = None,
-                 max_events: Optional[int] = None, *,
-                 exclusive: bool = False) -> float:
-        """Drain pending events — the backend-contract name for
-        :meth:`run`; identical semantics and return value."""
-        return self.run(until, max_events, exclusive=exclusive)
 
     def step(self) -> bool:
         """Dispatch the single earliest event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was
         empty.  The cold-path sibling of :meth:`run`: same dispatch
-        semantics, no event recycling.  Routed through :meth:`pop` so
-        backends that stage entries outside the heap stay correct.
+        semantics, no event recycling.
         """
         event = self.pop()
         if event is None:
@@ -446,9 +454,7 @@ class Simulator:
         """Drop every pending event, marking their handles stale.
 
         The clock and the dispatch counter keep their values; use
-        :meth:`reset` to rewind those too.  Part of the backend
-        contract — backends that stage entries outside the heap
-        override this to invalidate them as well.
+        :meth:`reset` to rewind those too.
         """
         self._queue.clear()
 

@@ -115,6 +115,14 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         assert bench.read_record(path).state_backend is None
 
+    def test_records_naming_the_removed_batch_backend_still_load(
+            self, tmp_path):
+        path = bench.write_record(sample_record(), tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel_backend"] = "batch"  # a pre-removal record
+        path.write_text(json.dumps(payload))
+        assert bench.read_record(path).kernel_backend == "batch"
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = bench.write_record(sample_record(), tmp_path)
         payload = json.loads(path.read_text())

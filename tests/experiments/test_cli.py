@@ -142,6 +142,15 @@ def test_workers_not_passed_to_plain_runners(monkeypatch):
     assert main(["firewall", "--workers", "2"]) == 0
 
 
+def test_parser_rejects_removed_batch_kernel_backend():
+    parser = build_parser()
+    assert parser.parse_args(
+        ["figure07", "--kernel-backend", "compiled"]
+    ).kernel_backend == "compiled"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["figure07", "--kernel-backend", "batch"])
+
+
 def test_parser_accepts_profile_flag():
     parser = build_parser()
     assert parser.parse_args(["figure07"]).profile is None
@@ -181,11 +190,13 @@ def test_cli_bench_record_names_the_selected_backends(tmp_path,
     from repro.analysis import bench
     # main() pins the selections in the environment for pool workers;
     # setting them here first makes monkeypatch undo that afterwards.
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+    # The flag must beat an ambient selection (compiled needs no
+    # build here: the flag replaces it before any Simulator exists).
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
     monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
     assert main(["figure08", "--duration", "2", "--workers", "1",
-                 "--kernel-backend", "batch",
+                 "--kernel-backend", "python",
                  "--bench-dir", str(tmp_path)]) == 0
     record = bench.read_record(tmp_path / "BENCH_fig08.json")
-    assert record.kernel_backend == "batch"
+    assert record.kernel_backend == "python"
     assert record.state_backend == "objects"

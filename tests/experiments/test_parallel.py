@@ -112,13 +112,13 @@ class TestBenchEmission:
         # The CLI's --kernel-backend / --state-backend set these.
         monkeypatch.setenv(bench.ENV_ENABLE, "1")
         monkeypatch.setenv(bench.ENV_DIR, str(tmp_path))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
         monkeypatch.setenv("REPRO_STATE_BACKEND", "soa")
         cells = [Cell(label=f"c{x}", fn=_square, kwargs={"x": x})
                  for x in (2, 3)]
         run_cells("selected", cells, workers=2)
         record = bench.read_record(tmp_path / "BENCH_selected.json")
-        assert record.kernel_backend == "batch"
+        assert record.kernel_backend == "compiled"
         assert record.state_backend == "soa"
 
     def test_no_file_without_opt_in(self, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from repro.sim.kernel import Simulator
 
 # Every claim below holds per backend: the fused-vs-naive equality is
 # the semantic half of the backend contract, and the recycling claims
-# keep handle safety honest under batched dispatch too.
+# keep handle safety honest in the compiled loop too.
 pytestmark = pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
 
 

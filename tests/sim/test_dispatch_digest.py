@@ -128,7 +128,7 @@ def fig07_cell_digest(trace_on: bool) -> str:
 
 
 # Every kernel backend must reproduce the goldens bit-for-bit — the
-# equivalence half of the backend contract (repro.sim.backends.base).
+# equivalence half of the backend contract (the Simulator docstring).
 # Selection goes through the environment variable, the same path the
 # CI matrix and sweep pool workers use.
 @pytest.fixture(params=KERNEL_BACKENDS)

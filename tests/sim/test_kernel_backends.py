@@ -1,19 +1,17 @@
-"""Kernel-backend selection plumbing and batch-dispatch edge cases.
+"""Kernel-backend selection plumbing and same-instant dispatch edge cases.
 
 Two halves:
 
 * the factory contract — ``Simulator(backend=...)`` resolves argument
-  > ``REPRO_KERNEL_BACKEND`` > default, rejects unknown names with a
-  :class:`~repro.errors.ConfigurationError`, and every implementation
-  satisfies the structural :class:`~repro.sim.backends.base
-  .KernelBackend` protocol;
-* the nasty corners of batched run draining, each checked by *exact
-  dispatch-log equality against the python reference backend* on the
-  same scripted workload: a same-timestamp run spanning the ``until``
-  horizon (inclusive and exclusive), cancellation from inside a
-  drained run, same-instant lower-priority preemption out of a run,
-  recycled-handle safety, a mid-run ``reset()``, and a callback
-  exception mid-run.
+  > ``REPRO_KERNEL_BACKEND`` > default and rejects unknown names with a
+  :class:`~repro.errors.ConfigurationError`;
+* the nasty corners of draining same-instant runs, each checked by
+  *exact dispatch-log equality against the python reference backend*
+  on the same scripted workload: a same-timestamp run spanning the
+  ``until`` horizon (inclusive and exclusive), cancellation from
+  inside a drained run, same-instant lower-priority preemption out
+  of a run, recycled-handle safety, a mid-run ``reset()``, and a
+  callback exception mid-run.
 
 The figure-level equivalence gates (call churn, fault sweep clean and
 faulted, the space-parallel shard digest) close the file: every
@@ -32,10 +30,10 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import call_churn, fault_sweep
 from repro.sim import backends
-from repro.sim.backends import (KERNEL_BACKENDS, KernelBackend,
-                                available_backends, resolve_backend,
+from repro.sim.backends import (KERNEL_BACKENDS, available_backends,
+                                compiled, resolve_backend,
                                 simulator_class)
-from repro.sim.backends.batch import BatchSimulator
+from repro.sim.backends.compiled import CompiledSimulator
 from repro.sim.kernel import Simulator
 
 
@@ -62,13 +60,15 @@ class TestSelection:
         assert sim.backend == "python"
 
     def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
+        # Stand-in core: selection must not depend on a local build.
+        monkeypatch.setattr(compiled, "_ckernel", object())
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
         sim = Simulator()
-        assert type(sim) is BatchSimulator
-        assert sim.backend == "batch"
+        assert type(sim) is CompiledSimulator
+        assert sim.backend == "compiled"
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
         sim = Simulator(backend="python")
         assert type(sim) is Simulator
         assert sim.backend == "python"
@@ -77,21 +77,27 @@ class TestSelection:
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "  ")
         assert resolve_backend() == "python"
 
+    # "batch" names the removed batch-dispatch engine: a stale
+    # selection must fail loud, not fall back to a default.
     def test_unknown_argument_rejected(self):
-        with pytest.raises(ConfigurationError, match="valid backends"):
-            Simulator(backend="turbo")
+        for name in ("turbo", "batch"):
+            with pytest.raises(ConfigurationError,
+                               match="valid backends: python, compiled"):
+                Simulator(backend=name)
 
     def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
-        with pytest.raises(ConfigurationError, match="valid backends"):
-            Simulator()
+        for name in ("turbo", "batch"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+            with pytest.raises(ConfigurationError,
+                               match="valid backends: python, compiled"):
+                Simulator()
 
     def test_backend_class_rejects_conflicting_name(self):
-        with pytest.raises(ConfigurationError, match="batch"):
-            BatchSimulator(backend="python")
+        with pytest.raises(ConfigurationError, match="compiled"):
+            CompiledSimulator(backend="python")
 
     def test_subclasses_are_not_redirected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batch")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
 
         class Probe(Simulator):
             __slots__ = ()
@@ -100,25 +106,25 @@ class TestSelection:
 
     def test_registry_and_availability(self):
         assert set(available_backends()) <= set(KERNEL_BACKENDS)
-        assert {"python", "batch"} <= set(available_backends())
+        assert "python" in available_backends()
         assert ("compiled" in available_backends()
                 ) == backends.compiled_available()
 
-    def test_every_backend_satisfies_the_protocol(self, kernel_backend):
-        assert isinstance(make_sim(kernel_backend), KernelBackend)
-
     def test_compiled_absent_fails_with_build_hint(self, monkeypatch):
-        from repro.sim.backends import compiled
         monkeypatch.setattr(compiled, "_ckernel", None)
         assert not compiled.ckernel_available()
         assert "compiled" not in available_backends()
-        with pytest.raises(SimulationError, match="compiled-backend"):
+        with pytest.raises(SimulationError,
+                           match="compiled-backend") as raised:
             Simulator(backend="compiled")
+        message = str(raised.value)
+        assert "'python' backend" in message
+        assert "batch" not in message
 
 
 # ----------------------------------------------------------------------
-# Batch edge cases, each pinned to the python reference by exact
-# dispatch-log equality
+# Same-instant dispatch edge cases, each pinned to the python reference
+# by exact dispatch-log equality
 # ----------------------------------------------------------------------
 Log = List[Tuple[float, str]]
 
@@ -277,9 +283,9 @@ def test_exception_mid_run_matches_reference(kernel_backend):
 
 
 def test_recycled_handles_stay_safe_under_batching(kernel_backend):
-    """Recycling under run draining: discarded members of a tie run
-    are parked for reuse, held handles never are, and a stale handle
-    can never cancel the event that reused its object."""
+    """Recycling while a same-instant run drains: discarded members
+    of a tie run are parked for reuse, held handles never are, and a
+    stale handle can never cancel the event that reused its object."""
     sim = make_sim(kernel_backend)
     for _ in range(6):
         sim.schedule_at(0.1, lambda: None)  # a drained run, discarded
@@ -301,8 +307,8 @@ def test_recycled_handles_stay_safe_under_batching(kernel_backend):
 
 
 def test_pop_and_step_see_staged_entries(kernel_backend):
-    """The backend-contract maintenance ops: pop() returns the
-    earliest live event (staged or heaped) and step() dispatches it."""
+    """The cold-path maintenance ops: pop() returns the earliest
+    live event and step() dispatches it."""
     sim = make_sim(kernel_backend)
     seen: List[str] = []
     sim.schedule(0.2, seen.append, "b")
