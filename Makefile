@@ -79,6 +79,7 @@ sanitize:
 	@echo "== ci job: sanitize =="
 	$(PYTHON) -m repro figure07 --duration 1 --workers 1 --sanitize --bench-dir /tmp/repro-sanitize
 	$(PYTHON) -m repro fault_sweep --duration 5 --workers 2 --sanitize --bench-dir /tmp/repro-sanitize
+	$(PYTHON) -m repro call_churn --duration 60 --workers 2 --sanitize --bench-dir /tmp/repro-sanitize
 
 # The benchmark's output checks as a gate: fails unless the last line
 # of perfbench/run.py reports "correct": true.

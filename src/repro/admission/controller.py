@@ -16,6 +16,7 @@ from repro.errors import AdmissionError, ConfigurationError
 from repro.net.network import Network
 from repro.net.node import ServerNode
 from repro.net.session import Session
+from repro.sched.policy import DelayPolicy
 
 __all__ = ["AdmissionController"]
 
@@ -59,26 +60,25 @@ class AdmissionController:  # repro: disable=unslotted-hot-class -- one controll
         ``class_number=1``, ``per_packet=False``, ``epsilon=0.0`` for
         procedures 1/2, or ``d=0.002`` for procedure 3). On success the
         per-node delay policies are installed on the session, ready for
-        the schedulers to pick up.
+        the schedulers to pick up. Any failure rolls back the hops
+        already granted; a rejection is re-raised naming its node.
         """
-        granted: List[str] = []
-        policies = {}
+        # Insertion order is route order: the hops granted so far.
+        policies: Dict[str, DelayPolicy] = {}
         try:
             for node_name in session.route:
-                policy = self.procedure_at(node_name).admit(
+                policies[node_name] = self.procedure_at(node_name).admit(
                     session, **options)
-                granted.append(node_name)
-                policies[node_name] = policy
-        except AdmissionError as error:
-            for node_name in granted:
+        except BaseException as error:
+            for node_name in policies:
                 self.procedures[node_name].release(session.id)
+            if not isinstance(error, AdmissionError):
+                raise
+            node = session.route[len(policies)]
             raise AdmissionError(
-                f"session {session.id!r} rejected at node "
-                f"{session.route[len(granted)]!r}: {error}",
-                rule=error.rule,
-                node=session.route[len(granted)]) from error
-        for node_name, policy in policies.items():
-            session.set_policy(node_name, policy)
+                f"session {session.id!r} rejected at node {node!r}: "
+                f"{error}", rule=error.rule, node=node) from error
+        session.delay_policies.update(policies)
         self._routes[session.id] = list(session.route)
         san = self.sanitizer
         if san is not None:

@@ -22,9 +22,10 @@ mode, under which the delay bound (eq. 15) equals PGPS's.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from itertools import chain
+from typing import Dict, List, Sequence
 
-from repro.admission.base import AdmittedSession, Procedure, RATE_EPSILON
+from repro.admission.base import Procedure, RATE_EPSILON
 from repro.admission.classes import DelayClass, validate_classes
 from repro.errors import AdmissionError, ConfigurationError
 from repro.net.session import Session
@@ -45,9 +46,11 @@ class Procedure1(Procedure):
                  classes: Sequence[DelayClass]) -> None:
         super().__init__(capacity)
         self.classes: List[DelayClass] = validate_classes(classes, capacity)
-        #: Sessions per class (1-based class numbers; index 0 unused).
-        self._members: List[List[str]] = [[] for _ in
-                                          range(len(self.classes) + 1)]
+        #: Per class (class k at index k-1), in admission order: each
+        #: session's rate r and its L_max/C.
+        self._class_rates: List[Dict[str, float]] = [{} for _ in self.classes]
+        self._class_loads: List[Dict[str, float]] = [{} for _ in self.classes]
+        self._class_index: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -56,21 +59,20 @@ class Procedure1(Procedure):
     def class_count(self) -> int:
         return len(self.classes)
 
-    def _classes_upto(self, m: int) -> List[AdmittedSession]:
-        """Admitted sessions in classes 1..m."""
-        members: List[AdmittedSession] = []
-        for class_number in range(1, m + 1):
-            for session_id in self._members[class_number]:
-                members.append(self._admitted[session_id])
-        return members
-
     def rate_in_classes_upto(self, m: int) -> float:
-        return sum(entry.rate for entry in self._classes_upto(m))
+        """Σ r over classes 1..m (rule 1.1's left side).
+
+        One ``sum`` over the whole prefix, not partial sums chained
+        across classes: CPython 3.12's ``sum`` compensates rounding
+        within a call, so a chained sum can differ in the last bit.
+        """
+        return sum(chain.from_iterable(
+            map(dict.values, self._class_rates[:m])))
 
     def transmission_load_upto(self, m: int) -> float:
         """Σ L_max,s / C over classes 1..m (the σ tests' left side)."""
-        return sum(entry.l_max / self.capacity
-                   for entry in self._classes_upto(m))
+        return sum(chain.from_iterable(
+            map(dict.values, self._class_loads[:m])))
 
     # ------------------------------------------------------------------
     # Tests
@@ -137,19 +139,20 @@ class Procedure1(Procedure):
         ``per_packet=True`` uses rule (1.3); ``False`` uses (1.3a).
         Returns the node's delay policy for the session.
         """
-        if session.id in self._admitted:
-            raise AdmissionError(
-                f"session {session.id!r} is already admitted here",
-                rule="duplicate")
+        self.check_not_admitted(session)
         self._check(session, class_number)
-        self._admitted[session.id] = AdmittedSession(
-            session.id, session.rate, session.l_max)
-        self._members[class_number].append(session.id)
-        return self._policy(session, class_number,
-                            per_packet=per_packet, epsilon=epsilon)
+        policy = self._policy(session, class_number,
+                              per_packet=per_packet, epsilon=epsilon)
+        index = class_number - 1
+        self._rates[session.id] = session.rate
+        self._class_rates[index][session.id] = session.rate
+        self._class_loads[index][session.id] = session.l_max / self.capacity
+        self._class_index[session.id] = index
+        return policy
 
     def release(self, session_id: str) -> None:
         super().release(session_id)
-        for members in self._members:
-            if session_id in members:
-                members.remove(session_id)
+        index = self._class_index.pop(session_id, None)
+        if index is not None:
+            del self._class_rates[index][session_id]
+            del self._class_loads[index][session_id]

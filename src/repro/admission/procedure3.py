@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from repro.admission.base import AdmittedSession, Procedure
+from repro.admission.base import Procedure
 from repro.errors import AdmissionError, ConfigurationError
 from repro.net.session import Session
 from repro.sched.policy import DelayPolicy
@@ -59,16 +59,14 @@ class Procedure3(Procedure):
             raise ConfigurationError(
                 f"exhaustive limit must be >= 1, got {exhaustive_limit}")
         self.exhaustive_limit = exhaustive_limit
-        self._delays: Dict[str, float] = {}
+        #: ``(rate, l_max, d)`` per admitted session, in admission order.
+        self._entries: Dict[str, Tuple[float, float, float]] = {}
         #: True when the last admit had to use the sufficient condition.
         self.last_check_was_conservative = False
 
     def _entries_with(self, session: Session,
                       d: float) -> List[Tuple[float, float, float]]:
-        entries = [(entry.rate, entry.l_max, self._delays[sid])
-                   for sid, entry in self._admitted.items()]
-        entries.append((session.rate, session.l_max, d))
-        return entries
+        return [*self._entries.values(), (session.rate, session.l_max, d)]
 
     def _check(self, session: Session, d: float) -> None:
         if d <= 0:
@@ -97,20 +95,18 @@ class Procedure3(Procedure):
     def admit(self, session: Session, *, d: float,
               **_ignored) -> DelayPolicy:
         """Admit with constant service parameter ``d`` seconds."""
-        if session.id in self._admitted:
-            raise AdmissionError(
-                f"session {session.id!r} is already admitted here",
-                rule="duplicate")
+        self.check_not_admitted(session)
         self._check(session, d)
-        self._admitted[session.id] = AdmittedSession(
-            session.id, session.rate, session.l_max)
-        self._delays[session.id] = float(d)
-        return DelayPolicy(slope=0.0, offset=float(d),
-                           l_max=session.l_max, l_min=session.l_min)
+        policy = DelayPolicy(slope=0.0, offset=float(d),
+                             l_max=session.l_max, l_min=session.l_min)
+        self._rates[session.id] = session.rate
+        self._entries[session.id] = (session.rate, session.l_max, float(d))
+        return policy
 
     def release(self, session_id: str) -> None:
         super().release(session_id)
-        self._delays.pop(session_id, None)
+        self._entries.pop(session_id, None)
 
     def delay_of(self, session_id: str) -> Optional[float]:
-        return self._delays.get(session_id)
+        entry = self._entries.get(session_id)
+        return None if entry is None else entry[2]

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
+from repro.bounds.buffer import buffer_bounds_along_route
+from repro.bounds.jitter import jitter_bound
 from repro.errors import ConfigurationError
 from repro.sched.policy import DelayPolicy, virtual_clock_policy
 
@@ -130,12 +132,9 @@ def compute_session_bounds(network: "Network", session: "Session", *,
     omitted it is derived from the session's declared token bucket
     (eq. 14) if present, else left unknown.
     """
-    from repro.bounds.buffer import buffer_bounds_along_route
-    from repro.bounds.jitter import jitter_bound
-
-    nodes = [network.nodes[name] for name in session.route]
-    capacities = [node.link.capacity for node in nodes]
-    propagations = [node.link.propagation for node in nodes]
+    links = [network.nodes[name].link for name in session.route]
+    capacities = [link.capacity for link in links]
+    propagations = [link.propagation for link in links]
     policies = _policies_along_route(network, session)
     d_maxes = [policy.d_max for policy in policies]
     l_max_network = network.l_max
@@ -161,12 +160,12 @@ def compute_session_bounds(network: "Network", session: "Session", *,
     buffers = (buffer_bounds_along_route(
         session.rate, d_ref_max, l_max_network, capacities, d_maxes,
         session.l_min, jitter_control=session.jitter_control)
-        if d_ref_max is not None else [None] * len(nodes))
+        if d_ref_max is not None else [None] * len(links))
 
     return SessionBounds(
         session_id=session.id,
         rate=session.rate,
-        hops=len(nodes),
+        hops=len(links),
         d_ref_max=d_ref_max,
         beta=beta,
         alpha=alpha,

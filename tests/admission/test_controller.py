@@ -6,7 +6,7 @@ from repro.admission.classes import DelayClass
 from repro.admission.controller import AdmissionController
 from repro.admission.procedure1 import Procedure1
 from repro.admission.procedure2 import Procedure2
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ConfigurationError
 from repro.net.session import Session
 from repro.sched.leave_in_time import LeaveInTime
 from repro.units import kbps
@@ -45,6 +45,41 @@ def test_rejection_rolls_back_upstream_reservations():
     assert not controller.procedures["n1"].is_admitted("s")
     assert not controller.procedures["n2"].is_admitted("s")
     assert session.delay_policies == {}
+
+
+def test_bad_option_rolls_back_upstream_reservations():
+    # A negative epsilon fails at the first hop's policy; nothing stays
+    # reserved anywhere and the error keeps its own type.
+    network = make_network(LeaveInTime, nodes=3, capacity=1000.0)
+    controller = controller_for(network)
+    session = Session("s", rate=100.0, route=["n1", "n2", "n3"],
+                      l_max=100.0)
+    with pytest.raises(ConfigurationError):
+        controller.admit(session, class_number=1, epsilon=-1.0)
+    for node_name in session.route:
+        assert not controller.procedures[node_name].is_admitted("s")
+        assert controller.reserved_rate(node_name) == 0
+    assert session.delay_policies == {}
+    controller.admit(session, class_number=1)
+    assert controller.reserved_rate("n3") == 100.0
+
+
+def test_unknown_node_rolls_back_upstream_reservations():
+    # A node added after the controller was built has no procedure:
+    # the hops granted before it are released.
+    network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
+    controller = controller_for(network)
+    network.add_node("late", LeaveInTime(), capacity=1000.0)
+    session = Session("s", rate=100.0, route=["n1", "n2", "late"],
+                      l_max=100.0)
+    with pytest.raises(ConfigurationError):
+        controller.admit(session, class_number=1)
+    for node_name in ("n1", "n2"):
+        assert not controller.procedures[node_name].is_admitted("s")
+        assert controller.reserved_rate(node_name) == 0
+    assert session.delay_policies == {}
+    controller.release(session)
+    assert controller.procedures["n1"].admitted_count == 0
 
 
 def test_release_clears_everywhere():

@@ -84,6 +84,24 @@ class TestProcedure1Rules:
         with pytest.raises(ConfigurationError):
             procedure.admit(session(), class_number=1, epsilon=-1e-3)
 
+    @pytest.mark.parametrize("procedure_class", [Procedure1, Procedure2])
+    def test_negative_epsilon_reserves_nothing(self, procedure_class):
+        # The policy is built before the session is recorded, so a bad
+        # option leaves no reservation behind.
+        procedure = procedure_class(1000.0, [DelayClass(1000.0, 0.01)])
+        with pytest.raises(ConfigurationError):
+            procedure.admit(
+                Session("s", rate=100.0, route=["n1"], l_max=10.0),
+                epsilon=-1.0)
+        assert not procedure.is_admitted("s")
+        assert procedure.admitted_count == 0
+        assert procedure.reserved_rate == 0
+        assert procedure.rate_in_classes_upto(1) == 0
+        assert procedure.transmission_load_upto(1) == 0
+        # The same session is admissible afterwards.
+        procedure.admit(Session("s", rate=1000.0, route=["n1"], l_max=10.0))
+        assert procedure.reserved_rate == 1000.0
+
     def test_rate_cap_rule_11(self):
         procedure = Procedure1(PAPER_C, PAPER_CLASSES)
         procedure.admit(session("a", rate=Mbps(9)), class_number=1)
