@@ -26,11 +26,16 @@ class TestAgainstLindley:
            service=st.floats(min_value=1e-4, max_value=1e-2),
            seed=st.integers(min_value=0, max_value=10_000))
     def test_cdf_within_sampling_error(self, rho, service, seed):
+        # Successive Lindley waits are strongly correlated near rho = 0.85,
+        # so the sample must be long for its empirical CDF to sit reliably
+        # within 0.03 of the formula: at 30,000 customers about one run in
+        # twenty misses by sampling error alone; at 300,000 the worst miss
+        # over 100 seeds is about 0.015.
         lam = rho / service
         rng = random.Random(seed)
         wait = 0.0
         waits = []
-        for _ in range(30_000):
+        for _ in range(300_000):
             gap = -math.log(rng.random()) / lam
             wait = max(0.0, wait + service - gap)
             waits.append(wait)
