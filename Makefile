@@ -143,9 +143,7 @@ backend-perf-guard: compiled-backend
 heavy-traffic-smoke:
 	@echo "== ci job: heavy-traffic-smoke =="
 	$(PYTHON) -m repro heavy_traffic --duration 0.5 \
-		--state-backend objects --bench-dir /tmp/repro-heavy
-	$(PYTHON) -m repro heavy_traffic --duration 0.5 \
-		--state-backend soa --bench-dir /tmp/repro-heavy
+		--bench-dir /tmp/repro-heavy
 	@echo "-- peak-RSS guard (soft-fail) --"
 	@$(PYTHON) -m repro.analysis.throughput --sessions 10000 \
 			--horizon 0.5 --out /tmp/repro-heavy \

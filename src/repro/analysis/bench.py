@@ -25,7 +25,7 @@ The JSON schema is flat and versioned::
       "peak_rss_bytes": 48234496,
       "sessions": null,
       "kernel_backend": "python",
-      "state_backend": "objects"
+      "state_backend": null
     }
 
 ``deterministic`` is stamped by the ``repro-det --perturb`` differ
@@ -41,11 +41,11 @@ paper-scale experiments, whose session count is fixed by the MIX/CROSS
 configuration.
 
 ``kernel_backend`` names the dispatch engine the run selected
-("python", "compiled") and ``state_backend`` the per-session
-state representation ("objects", "soa"), each as resolved from the
-argument, the ``REPRO_*_BACKEND`` environment variable, or the
-default.  Either is ``null`` for records that predate it or whose
-cells mixed backends.
+("python", "compiled"), as resolved from the argument, the
+``REPRO_KERNEL_BACKEND`` environment variable, or the default; it is
+``null`` for records that predate it.  ``state_backend`` is stamped
+only by older records, which may name a since-removed session-state
+representation; it is ``null`` in new ones.
 
 ``simulated_s`` is the *total* simulated horizon across all cells of
 the sweep (duration × cells for a uniform sweep), so
@@ -142,9 +142,9 @@ class BenchRecord:
     #: Additive default — same compatibility story as
     #: ``deterministic``.
     kernel_backend: Optional[str] = None
-    #: Session-state backend the run used ("objects", "soa"); None for
-    #: records that predate the field or whose cells mixed backends.
-    #: Additive default, as above.
+    #: Session-state backend stamped by older records (they may name
+    #: a since-removed representation); kept so they still load.  New
+    #: records leave it None: session state has one representation.
     state_backend: Optional[str] = None
 
 
@@ -207,8 +207,7 @@ def make_record(experiment: str, *, wall_time_s: float,
                 partitions: int = 1,
                 peak_rss: Optional[int] = None,
                 sessions: Optional[int] = None,
-                kernel_backend: Optional[str] = None,
-                state_backend: Optional[str] = None) -> BenchRecord:
+                kernel_backend: Optional[str] = None) -> BenchRecord:
     """Assemble a record, deriving events/sec, RSS, and the git rev.
 
     ``peak_rss`` overrides the stamped high-water mark — scale sweeps
@@ -230,7 +229,6 @@ def make_record(experiment: str, *, wall_time_s: float,
         else peak_rss_bytes(),
         sessions=sessions,
         kernel_backend=kernel_backend,
-        state_backend=state_backend,
     )
 
 

@@ -65,10 +65,8 @@ def _run_heavy_traffic(horizon: float) -> Tuple[int, float]:
     """One heavy-traffic cell executed in-process (not forked)."""
     from repro.experiments import heavy_traffic
 
-    backends = heavy_traffic._backends_default()
     cells = heavy_traffic.cells(duration=horizon, seed=0,
                                 sessions=1_000, rhos=(0.90,),
-                                backends=backends[:1],
                                 topologies=("single",))
     output = cells[0].fn(**cells[0].kwargs)
     return output.events, output.simulated
@@ -93,8 +91,7 @@ _SCENARIOS = {
         "fault-injection sweep, first two outage cells, serial"),
     "heavy_traffic": ProfileScenario(
         "heavy_traffic", 0.5, _run_heavy_traffic,
-        "one heavy-traffic cell in-process (SoA backend when numpy "
-        "is available)"),
+        "one heavy-traffic cell in-process"),
 }
 
 

@@ -125,8 +125,8 @@ class UnslottedHotClass(HotRule):
     """Per-event instances that carry a ``__dict__``.
 
     A class instantiated from a kernel-reachable function without
-    ``__slots__`` pays a dict allocation per instance and defeats the
-    SoA backend's memory ceiling.  Only flagged when adding
+    ``__slots__`` pays a dict allocation per instance, which adds up
+    at the heavy-traffic session counts.  Only flagged when adding
     ``__slots__`` provably helps: every base resolves in-tree and is
     itself slotted (or ``object``), and the class is not an exception
     type (exceptions are cold by the raise-exclusion rule anyway).
@@ -201,9 +201,9 @@ class AttributeChainInHotLoop(HotRule):
 class ItemCallInHotLoop(HotRule):
     """``.item()`` / ``.get()`` probes that should be hoisted.
 
-    PR 8's SoA ground rules: scalar reads out of arrays (``.item()``)
-    and dict probes (``.get()``) cost a method call plus boxing each —
-    a loop-invariant probe inside a loop, or the same probe expression
+    Scalar reads out of arrays (``.item()``) and dict probes
+    (``.get()``) cost a method call plus boxing each — a
+    loop-invariant probe inside a loop, or the same probe expression
     evaluated twice in one per-event function, should be read once
     into a local.
     """

@@ -175,28 +175,27 @@ def measure_backend(backend: str, best_of: int = DEFAULT_BEST_OF,
         cells=1, kernel_backend=backend)
 
 
-def measure_sessions(sessions: int, *, backend: str = "soa",
+def measure_sessions(sessions: int, *,
                      horizon: float = DEFAULT_HORIZON
                      ) -> bench.BenchRecord:
     """End-to-end throughput *and* peak RSS at a session count.
 
     Unlike :func:`measure`'s bare kernel spin, this runs one
     heavy-traffic cell — a single Leave-in-Time node at load
-    ``SCALING_RHO`` carrying ``sessions`` concurrent sessions under
-    ``backend`` — and stamps both ``sessions`` and ``peak_rss_bytes``
-    into the record, so the committed baseline gates memory growth per
-    session alongside events/sec (``bench compare
+    ``SCALING_RHO`` carrying ``sessions`` concurrent sessions — and
+    stamps both ``sessions`` and ``peak_rss_bytes`` into the record,
+    so the committed baseline gates memory growth per session
+    alongside events/sec (``bench compare
     --max-rss-regression``).  Run it in a fresh interpreter for a
     clean RSS reading (the CLI entry point is one).
     """
     if sessions < 1:
         raise ValueError(f"sessions must be >= 1, got {sessions}")
-    # Lazy import: analysis must not pull the experiment stack (and
-    # its numpy-optional machinery) for the plain kernel-spin mode.
+    # Lazy import: analysis must not pull the experiment stack for
+    # the plain kernel-spin mode.
     from repro.experiments.heavy_traffic import _cell
     output = _cell(topology="single", discipline="leave-in-time",
-                   backend=backend, sessions=sessions,
-                   rho=SCALING_RHO, duration=horizon,
+                   sessions=sessions, rho=SCALING_RHO, duration=horizon,
                    seed=SCALING_SEED)
     row = output.value
     return bench.make_record(
@@ -224,10 +223,6 @@ def main(argv: Optional[list] = None) -> int:
                              "sessions and record events/sec plus "
                              "peak RSS (file: "
                              "BENCH_throughput_scaling.json)")
-    parser.add_argument("--state-backend", choices=["objects", "soa"],
-                        default="soa",
-                        help="state backend for --sessions mode "
-                             "(default: soa)")
     parser.add_argument("--kernel-backend",
                         choices=sorted(KERNEL_EXPERIMENTS),
                         default=None,
@@ -259,15 +254,12 @@ def main(argv: Optional[list] = None) -> int:
         return 0
     horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
     if args.sessions is not None:
-        record = measure_sessions(args.sessions,
-                                  backend=args.state_backend,
-                                  horizon=horizon)
+        record = measure_sessions(args.sessions, horizon=horizon)
         out = args.out if args.out is not None \
             else str(SCALING_BASELINE.parent)
         path = bench.write_record(record, out)
         rss = record.peak_rss_bytes
-        print(f"{record.experiment}: {record.sessions} sessions "
-              f"({args.state_backend}), "
+        print(f"{record.experiment}: {record.sessions} sessions, "
               f"{record.events_per_sec:,.0f} events/s, peak RSS "
               f"{rss / 1e6:,.1f} MB -> {path}"
               if rss else

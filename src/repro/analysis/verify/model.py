@@ -955,20 +955,13 @@ class _FunctionScanner:
                      if _concrete(spec) is not None]
             if known and all(dim == known[0] for dim in known):
                 return _as_spec(known[0])
-        # Array-typed constants (the SoA backend's ColumnGroup): an
-        # array built by numpy.full(shape, fill) — or declared via
-        # ColumnGroup.add("name", fill), whose first argument is the
-        # column-name string — holds the fill value's dimension in
-        # every element, and ndarray.item(slot) reads one element back
-        # out.  Propagating fill through both keeps the dimension
+        # Array-typed constants: an array built by
+        # numpy.full(shape, fill) holds the fill value's dimension in
+        # every element, and ndarray.item(index) reads one element
+        # back out.  Propagating fill through both keeps the dimension
         # algebra connected across the array round-trip instead of
         # going dark at the store.
         if last == "full" and len(arg_specs) >= 2:
-            return arg_specs[1]
-        if last == "add" and isinstance(node.func, ast.Attribute) \
-                and len(node.args) >= 2 \
-                and isinstance(node.args[0], ast.Constant) \
-                and isinstance(node.args[0].value, str):
             return arg_specs[1]
         if last == "item" and isinstance(node.func, ast.Attribute) \
                 and len(node.args) <= 1:

@@ -9,29 +9,17 @@ one.  This experiment pushes the simulator there: one bottleneck node
 each reserving an equal share ``C/N`` of the link, fed by a superposed
 Poisson process at load ``ρ``.
 
-Each backend runs its *characteristic construction*, because that is
-what the comparison is about:
-
-* ``objects`` — the reference pipeline exactly as every paper-scale
-  experiment assembles it: one :class:`~repro.traffic.poisson
-  .PoissonSource` (own named RNG stream, own pending timer event) and
-  one :class:`~repro.net.sink.Sink` per session.
-* ``soa`` — the scale pipeline: one
-  :class:`~repro.traffic.superposed.SuperposedPoissonSource` clock
-  marking arrivals uniformly across sessions (statistically identical
-  by Poisson superposition, two RNG streams total, one pending event)
-  and one shared sink.
-
-So the BENCH numbers answer "what does moving to the scale path buy"
-end to end — per-object session state *and* per-session source/sink
-machinery versus tabulated state and aggregate traffic — not merely
-the state-table delta.  The backends draw different random numbers
-and are not digest-comparable here; bit-identity between backends is
-pinned where both run the identical construction
-(``tests/sim/test_state_backends.py``).
+Every cell uses the aggregate construction: one
+:class:`~repro.traffic.superposed.SuperposedPoissonSource` clock
+marking arrivals uniformly across sessions (statistically identical to
+one Poisson source per session by Poisson superposition, two RNG
+streams total, one pending event) and one shared
+:class:`~repro.net.sink.Sink`.  The per-session construction (one
+:class:`~repro.traffic.poisson.PoissonSource` and one sink each) is
+what perfbench's ``heavy_tandem`` workload measures.
 
 Two measurements per cell, directly comparable across disciplines
-because cells of one backend replay the *same* arrival sample path
+because all cells replay the *same* arrival sample path
 (source streams are named independently of the discipline):
 
 * **Lead-time profile** — the bottleneck scheduler's lateness tally
@@ -46,11 +34,9 @@ because cells of one backend replay the *same* arrival sample path
   the utilization spread.
 
 Each cell runs in a **fresh process** so its ``peak_rss_bytes`` (a
-process-wide high-water mark) is attributable to that cell alone —
-this is what makes the objects-vs-soa memory comparison in
-``BENCH_heavy_traffic.json`` honest.  The backend sweep defaults to
-both backends when numpy is available; this experiment compares
-*cost*: events/sec and peak RSS per session count.
+process-wide high-water mark) is attributable to that cell alone; the
+experiment reports *cost* as well: events/sec and peak RSS per session
+count.
 """
 
 from __future__ import annotations
@@ -71,7 +57,6 @@ from repro.sched.fcfs import FCFS
 from repro.sched.leave_in_time import LeaveInTime
 from repro.sim.backends import resolve_backend
 from repro.sim.collector import collector_paused
-from repro.traffic.poisson import PoissonSource
 from repro.traffic.superposed import SuperposedPoissonSource
 from repro.units import T1_RATE_BPS, to_ms
 
@@ -105,11 +90,10 @@ DEFAULT_RHOS = (0.90, 0.99)
 
 @dataclass
 class HeavyTrafficRow:
-    """One (topology, discipline, backend, ρ) cell's measurements."""
+    """One (topology, discipline, ρ) cell's measurements."""
 
     topology: str
     discipline: str
-    backend: str
     sessions: int
     rho: float
     packets: int
@@ -127,40 +111,21 @@ class HeavyTrafficRow:
     lateness_std_ms: float
 
 
-def _backends_default() -> Tuple[str, ...]:
-    """Both backends when numpy is present; objects alone otherwise.
-
-    ``REPRO_STATE_BACKEND`` (or the CLI's ``--state-backend``) pins the
-    sweep to that single backend.
-    """
-    import os
-    pinned = os.environ.get("REPRO_STATE_BACKEND", "").strip()
-    if pinned:
-        return (pinned,)
-    from repro.net.session_table import numpy_available
-    if numpy_available():
-        return ("objects", "soa")
-    return ("objects",)
-
-
-def _cell(*, topology: str, discipline: str, backend: str,
-          sessions: int, rho: float, duration: float,
-          seed: int) -> CellOutput:
+def _cell(*, topology: str, discipline: str, sessions: int,
+          rho: float, duration: float, seed: int) -> CellOutput:
     """One isolated heavy-traffic simulation, RSS measured in-cell."""
     watch = bench.Stopwatch()
     factory = dict(_DISCIPLINES)[discipline]
     node_count = _TOPOLOGIES[topology]
-    network = PaperTopology(factory, node_count=node_count, seed=seed,
-                            state_backend=backend).build()
+    network = PaperTopology(factory, node_count=node_count,
+                            seed=seed).build()
     route = [f"n{i}" for i in range(1, node_count + 1)]
     per_session_rate = T1_RATE_BPS / sessions
     # Per-session mean interarrival L·N / (ρ·C) seconds, i.e. an
     # aggregate arrival rate of ρ·C/L packets/s.
     mean_per_session = (PAPER_PACKET_BITS * sessions
                         / (rho * T1_RATE_BPS))
-    aggregate = backend == "soa"
-    shared_sink = Sink("aggregate", keep_samples=False) \
-        if aggregate else None
+    shared_sink = Sink("aggregate", keep_samples=False)
     members: List[Session] = []
     # The build allocates millions of long-lived objects, none of them
     # garbage; keep the cyclic collector out of it as Network.run does.
@@ -171,27 +136,12 @@ def _cell(*, topology: str, discipline: str, backend: str,
             network.add_session(session, sink=shared_sink,
                                 keep_samples=False)
             members.append(session)
-            if not aggregate:
-                PoissonSource(network, session,
-                              length=PAPER_PACKET_BITS,
-                              mean=mean_per_session)
-        if aggregate:
-            SuperposedPoissonSource(network, members,
-                                    length=PAPER_PACKET_BITS,
-                                    mean=mean_per_session)
+        SuperposedPoissonSource(network, members,
+                                length=PAPER_PACKET_BITS,
+                                mean=mean_per_session)
         network.run(duration)
-    if aggregate:
-        received = shared_sink.received
-        mean_delay = shared_sink.delay.mean
-    else:
-        # Sorted keys: float summation order must not depend on dict
-        # order (the determinism analyzer's unordered-merge rule).
-        per_session = [network.sinks[sid]
-                       for sid in sorted(network.sinks)]
-        received = sum(sink.received for sink in per_session)
-        total = sum(sink.delay.mean * sink.delay.count
-                    for sink in per_session)
-        mean_delay = total / received if received else 0.0
+    received = shared_sink.received
+    mean_delay = shared_sink.delay.mean
     bottleneck = network.nodes[route[-1]]
     lateness = bottleneck.scheduler.lateness
     wall = watch.elapsed()
@@ -199,7 +149,6 @@ def _cell(*, topology: str, discipline: str, backend: str,
     row = HeavyTrafficRow(
         topology=topology,
         discipline=discipline,
-        backend=backend,
         sessions=sessions,
         rho=rho,
         packets=received,
@@ -227,14 +176,14 @@ class HeavyTrafficResult:
     def workload_conserved(self, tolerance: float = 0.02) -> bool:
         """Utilization spread across disciplines within ``tolerance``.
 
-        All cells sharing (topology, backend, ρ) replay the same
+        All cells sharing (topology, ρ) replay the same
         arrival sample path with work-conserving disciplines, so their
         busy times may differ only by edge effects (the packets still
         in service when the horizon ends).
         """
-        groups: Dict[Tuple[str, str, float], List[float]] = {}
+        groups: Dict[Tuple[str, float], List[float]] = {}
         for row in self.rows:
-            key = (row.topology, row.backend, row.rho)
+            key = (row.topology, row.rho)
             groups.setdefault(key, []).append(row.utilization)
         return all(max(utils) - min(utils) <= tolerance
                    for utils in groups.values()
@@ -242,10 +191,10 @@ class HeavyTrafficResult:
 
     def table(self) -> str:
         return format_table(
-            ["topo", "discipline", "backend", "rho", "pkts",
+            ["topo", "discipline", "rho", "pkts",
              "events/s", "util", "delay(ms)", "lead mean(ms)",
              "rss(MB)"],
-            [(r.topology, r.discipline, r.backend, f"{r.rho:.2f}",
+            [(r.topology, r.discipline, f"{r.rho:.2f}",
               r.packets, f"{r.events_per_sec:,.0f}",
               f"{r.utilization:.3f}", f"{r.mean_delay_ms:.3f}",
               f"{-r.mean_lateness_ms:.3f}",
@@ -265,24 +214,20 @@ class HeavyTrafficResult:
 
 def cells(*, duration: float, seed: int, sessions: int,
           rhos: Sequence[float],
-          backends: Sequence[str],
           topologies: Sequence[str]) -> List[Cell]:
-    """The declarative sweep: topology × discipline × backend × ρ."""
+    """The declarative sweep: topology × discipline × ρ."""
     unknown = [t for t in topologies if t not in _TOPOLOGIES]
     if unknown:
         raise ConfigurationError(
             f"unknown heavy-traffic topologies {unknown}; "
             f"expected subset of {sorted(_TOPOLOGIES)}")
-    return [Cell(label=f"heavy[{topology},{discipline},{backend},"
-                       f"rho={rho:g}]",
+    return [Cell(label=f"heavy[{topology},{discipline},rho={rho:g}]",
                  fn=_cell,
                  kwargs={"topology": topology, "discipline": discipline,
-                         "backend": backend, "sessions": sessions,
-                         "rho": rho, "duration": duration,
-                         "seed": seed})
+                         "sessions": sessions, "rho": rho,
+                         "duration": duration, "seed": seed})
             for topology in topologies
             for discipline, _ in _DISCIPLINES
-            for backend in backends
             for rho in rhos]
 
 
@@ -290,8 +235,8 @@ def _run_isolated(cell_list: List[Cell]) -> List[CellOutput]:
     """Each cell in a fresh single-use process (accurate per-cell RSS).
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so reusing a
-    process would let a big objects-backend cell inflate every later
-    soa cell's reading.  Falls back to in-process execution (RSS then
+    process would let a big cell (a tandem, a high ρ) inflate every
+    later cell's reading.  Falls back to in-process execution (RSS then
     reflects the largest cell so far) where pools are unavailable.
     """
     outputs: List[CellOutput] = []
@@ -309,7 +254,6 @@ def _run_isolated(cell_list: List[Cell]) -> List[CellOutput]:
 def run(*, duration: float = 2.0, seed: int = 0,
         sessions: int = DEFAULT_SESSIONS,
         rhos: Sequence[float] = DEFAULT_RHOS,
-        backends: Optional[Sequence[str]] = None,
         topologies: Sequence[str] = ("single", "tandem"),
         workers: Optional[int] = None) -> HeavyTrafficResult:
     """Run the heavy-traffic sweep and emit its BENCH record.
@@ -319,11 +263,8 @@ def run(*, duration: float = 2.0, seed: int = 0,
     attribution requires it.
     """
     del workers  # isolation policy is fixed; see _run_isolated
-    if backends is None:
-        backends = _backends_default()
     cell_list = cells(duration=duration, seed=seed, sessions=sessions,
-                      rhos=rhos, backends=backends,
-                      topologies=topologies)
+                      rhos=rhos, topologies=topologies)
     watch = bench.Stopwatch()
     outputs = _run_isolated(cell_list)
     rows = [output.value for output in outputs]
@@ -339,7 +280,6 @@ def run(*, duration: float = 2.0, seed: int = 0,
         sessions=sessions,
         peak_rss=max(rss_values) if rss_values else None,
         kernel_backend=resolve_backend(),
-        state_backend=backends[0] if len(set(backends)) == 1 else None,
     ))
     return HeavyTrafficResult(duration=duration, seed=seed, rows=rows)
 

@@ -27,63 +27,23 @@ from repro.sim.trace import Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
-    from repro.net.session_table import SessionTable
     from repro.sim.parallel import ShardContext
 
-__all__ = ["Network", "resolve_state_backend"]
-
-#: Recognised values for ``Network(state_backend=...)`` and the
-#: ``REPRO_STATE_BACKEND`` environment variable.
-_BACKENDS = ("objects", "soa")
-
-
-def resolve_state_backend(requested: Optional[str] = None) -> str:
-    """Resolve a state backend name: argument > env var > ``"objects"``.
-
-    Raises :class:`~repro.errors.ConfigurationError` for unknown names.
-    """
-    name = requested
-    if name is None:
-        name = os.environ.get("REPRO_STATE_BACKEND", "").strip() \
-            or "objects"
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown state_backend {name!r}; "
-            f"expected one of {_BACKENDS}")
-    return name
+__all__ = ["Network"]
 
 
 class Network:
-    """A packet network with pluggable per-node service disciplines.
+    """A packet network with pluggable per-node service disciplines."""
 
-    ``state_backend`` selects how per-session hot state is stored:
-
-    * ``"objects"`` (default) — one small Python object per session per
-      concern, the reference implementation.
-    * ``"soa"`` — a shared :class:`~repro.net.session_table.SessionTable`
-      of numpy parallel arrays, built for 10^5-10^6 concurrent sessions
-      (requires the optional ``[scale]`` extra).
-
-    ``None`` defers to the ``REPRO_STATE_BACKEND`` environment variable
-    (so experiment builders need no plumbing), falling back to
-    ``"objects"``.  Both backends produce bit-identical dispatch
-    digests (``tests/sim/test_state_backends.py``).
-    """
+    #: Constants read by perfbench's run manifest (one state form).
+    state_backend = "objects"
+    session_table = None
 
     def __init__(self, *, sim: Optional[Simulator] = None, seed: int = 0,
                  tracer: Optional[Tracer] = None,
                  l_max_network: Optional[float] = None,
-                 sanitizer: Optional["Sanitizer"] = None,
-                 state_backend: Optional[str] = None) -> None:
+                 sanitizer: Optional["Sanitizer"] = None) -> None:
         self.sim = sim or Simulator()
-        state_backend = resolve_state_backend(state_backend)
-        self.state_backend = state_backend
-        self.session_table: Optional["SessionTable"] = None
-        if state_backend == "soa":
-            # Lazy import: the objects backend must not pay for (or
-            # require) numpy.
-            from repro.net.session_table import SessionTable
-            self.session_table = SessionTable()
         if sanitizer is None and os.environ.get("REPRO_SANITIZE"):
             # Lazy import: the sanitizer module (and the env check
             # itself) must cost nothing on the default path, and the
@@ -140,8 +100,6 @@ class Network:
         if self.sanitizer is not None:
             node.sanitizer = self.sanitizer
             scheduler.sanitizer = self.sanitizer
-        if self.session_table is not None:
-            node.use_session_table(self.session_table)
         self.nodes[name] = node
         return node
 
@@ -155,7 +113,10 @@ class Network:
         Pass ``sink`` to attach an existing (possibly shared) sink
         instead of creating a dedicated one — the heavy-traffic
         experiments aggregate 10^5 sessions into one
-        :class:`~repro.net.sink.SharedSink` this way.
+        :class:`~repro.net.sink.Sink` this way.  A session attached to
+        a sink named for another session cannot be removed: the
+        sink's counters cover every session attached to it, so the
+        drain accounting could not tell when this one is empty.
         """
         if session.id in self.sessions:
             raise ConfigurationError(f"duplicate session id {session.id!r}")
@@ -171,8 +132,6 @@ class Network:
         self.sessions[session.id] = session
         if session.l_max > self._l_max_seen:
             self._l_max_seen = session.l_max
-        if self.session_table is not None:
-            session.slot = self.session_table.acquire(session)
         for node_name in session.route:
             self.nodes[node_name].register_session(session)
         if sink is None:
@@ -195,6 +154,10 @@ class Network:
         dropped. Stop the session's source before removal; long-running
         call churn relies on this to tear calls down mid-flight without
         waiting for the network to drain.
+
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        session and for one attached to another session's sink (see
+        :meth:`add_session`).
         """
         if self.shard is not None:
             # A removal's drain-then-forget bookkeeping needs a global
@@ -203,9 +166,15 @@ class Network:
             raise SimulationError(
                 "remove_session is not supported in space-parallel "
                 "(sharded) runs; run session churn serially")
-        session = self.sessions.pop(session_id, None)
-        if session is None:
+        if session_id not in self.sessions:
             raise ConfigurationError(f"unknown session {session_id!r}")
+        sink = self.sinks[session_id]
+        if sink.session_id != session_id:
+            raise ConfigurationError(
+                f"session {session_id!r} shares sink "
+                f"{sink.session_id!r}; sessions on a shared sink cannot "
+                f"be removed (its counters cover every attached session)")
+        session = self.sessions.pop(session_id)
         if self._in_flight(session) > 0:
             self._draining[session_id] = (session, keep_sink)
             return
@@ -225,9 +194,6 @@ class Network:
             node = self.nodes[node_name]
             node.scheduler.forget_session(session.id)
             node.forget_session(session.id)
-        if self.session_table is not None:
-            self.session_table.release(session.id)
-            session.slot = -1
         self._draining.pop(session.id, None)
         if not keep_sink:
             self.sinks.pop(session.id, None)

@@ -15,27 +15,15 @@ The node also measures per-session buffer occupancy the way the paper's
 Figures 12-13 do: sampled at the instant a packet's last bit arrives,
 counting queued, held, *and in-transmission* bits of that session.
 
-Buffer accounting has two interchangeable backends (selected by
-``Network(state_backend=...)``, digest-equivalent by construction):
-
-* **objects** — one :class:`_SessionBuffer` record per session,
-  resolved once on the arrival path; ``receive`` used to probe four
-  separate dicts per packet, which profiled as a top-three cost of the
-  forwarding benchmarks.  The reference implementation.
-* **soa** — occupancy, peak, limit, and drop counters live in numpy
-  columns of the network's
-  :class:`~repro.net.session_table.SessionTable`, indexed by the
-  packet's dense ``session.slot``; at 10^5-10^6 sessions this replaces
-  ~150 bytes of per-session record with ~33 bytes of array rows (see
-  ``docs/performance.md``).
-
-The legacy dict attributes (``buffer_bits`` etc.) remain as read-only
-views for reports and tests under both backends.
+Buffer accounting keeps one :class:`_SessionBuffer` record per
+session, resolved once on the arrival path; ``receive`` used to probe
+four separate dicts per packet, which profiled as a top-three cost of
+the forwarding benchmarks.  The dict attributes (``buffer_bits`` etc.)
+remain as read-only views for reports and tests.
 """
 
 from __future__ import annotations
 
-from math import inf, isfinite
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -51,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.faults.injector import NodeFaultState
     from repro.net.network import Network
-    from repro.net.session_table import ColumnGroup, SessionTable
     from repro.sched.base import Scheduler
 
 __all__ = ["ServerNode"]
@@ -98,17 +85,8 @@ class ServerNode:
 
         self.transmitting: Optional[Packet] = None
         #: Per-session buffer records (occupancy, peak, limit, monitor,
-        #: drops) — one dict probe per packet instead of four.  Unused
-        #: (left empty) under the soa backend.
+        #: drops) — one dict probe per packet instead of four.
         self._buffers: Dict[str, _SessionBuffer] = {}
-        #: soa backend: buffer columns in the network's SessionTable
-        #: (``bits``/``peak``/``limit``/``drops``/``member``), indexed
-        #: by ``packet.session.slot``; None under the objects backend.
-        self._soa: Optional["ColumnGroup"] = None
-        self._table: Optional["SessionTable"] = None
-        #: soa backend: arrival-sampled occupancy series for monitored
-        #: sessions, keyed by slot (sparse — monitoring is rare).
-        self._soa_samples: Dict[int, TimeSeries] = {}
 
         self.packets_served = 0
         self.bits_served = 0.0
@@ -126,60 +104,18 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Session registration
     # ------------------------------------------------------------------
-    def use_session_table(self, table: "SessionTable") -> None:
-        """Switch buffer accounting to SessionTable columns (``soa``).
-
-        Called once per node by :meth:`repro.net.network.Network
-        .add_node` under ``state_backend="soa"``, before any session
-        registers; the scheduler receives the same hook.  The ``limit``
-        column's +inf fill makes the arrival-path check ``occupancy >
-        limit + 1e-9`` unconditionally false for sessions without a
-        configured limit — the same outcome as the objects path's
-        ``limit is not None`` guard, with no extra branch.
-        """
-        group = table.group()
-        group.add("bits", 0.0)
-        group.add("peak", 0.0)
-        group.add("limit", inf)
-        group.add("drops", 0, dtype="i8")
-        group.add("member", False, dtype="bool")
-        self._soa = group
-        self._table = table
-        self.scheduler.use_session_table(table)
-
     def register_session(self, session: Session) -> None:
         """Prepare per-session state and inform the scheduler."""
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session.id)
-            if buf is None:
-                buf = self._buffers[session.id] = _SessionBuffer()
-            if session.monitor_buffer and buf.samples is None:
-                buf.samples = TimeSeries(
-                    f"{self.name}.{session.id}.buffer")
-        else:
-            slot = session.slot
-            if slot < 0:
-                raise SimulationError(
-                    f"session {session.id!r} has no session-table slot; "
-                    f"register sessions through Network.add_session "
-                    f"under the soa backend")
-            soa.member[slot] = True
-            if session.monitor_buffer and slot not in self._soa_samples:
-                self._soa_samples[slot] = TimeSeries(
-                    f"{self.name}.{session.id}.buffer")
+        buf = self._buffers.get(session.id)
+        if buf is None:
+            buf = self._buffers[session.id] = _SessionBuffer()
+        if session.monitor_buffer and buf.samples is None:
+            buf.samples = TimeSeries(f"{self.name}.{session.id}.buffer")
         self.scheduler.register_session(session)
 
     def forget_session(self, session_id: str) -> None:
         """Drop this node's buffer record for a fully drained session."""
-        soa = self._soa
-        if soa is None:
-            self._buffers.pop(session_id, None)
-            return
-        slot = self._table.slot(session_id)
-        if slot >= 0:
-            soa.reset_slot(slot)
-            self._soa_samples.pop(slot, None)
+        self._buffers.pop(session_id, None)
 
     # ------------------------------------------------------------------
     # Data path
@@ -189,69 +125,34 @@ class ServerNode:
         if bits <= 0:
             raise SimulationError(
                 f"buffer limit must be positive, got {bits}")
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is None:
-                buf = self._buffers[session_id] = _SessionBuffer()
-            buf.limit = float(bits)
-            return
-        slot = self._table.slot(session_id)
-        if slot < 0:
-            raise SimulationError(
-                f"cannot set a buffer limit for unknown session "
-                f"{session_id!r} under the soa backend; add the "
-                f"session first")
-        soa.limit[slot] = float(bits)
+        buf = self._buffers.get(session_id)
+        if buf is None:
+            buf = self._buffers[session_id] = _SessionBuffer()
+        buf.limit = float(bits)
 
     def receive(self, packet: Packet) -> None:
         """A packet's last bit arrived at this node."""
         now = self.sim.now
         packet.arrival_time = now
-        session = packet.session
-        session_id = session.id
+        session_id = packet.session.id
 
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is None:
-                # Unregistered sessions can still deliver here while a
-                # removed session drains; account for them the same way.
-                buf = self._buffers[session_id] = _SessionBuffer()
-            occupancy = buf.bits + packet.length
-            limit = buf.limit
-            if limit is not None and occupancy > limit + 1e-9:
-                buf.drops += 1
-                self._drop_on_arrival(packet, session_id, now)
-                return
-            buf.bits = occupancy
-            if occupancy > buf.peak:
-                buf.peak = occupancy
-            samples = buf.samples
-            if samples is not None:
-                samples.record(now, occupancy)
-        else:
-            slot = session.slot
-            if slot < 0:
-                raise SimulationError(
-                    f"packet of session {session_id!r} reached node "
-                    f"{self.name} without a session-table slot")
-            # Scalar reads via .item() return Python floats, so the
-            # arithmetic below is the same IEEE-754 sequence as the
-            # objects branch — the bit-identical-digest guarantee.
-            bits = soa.bits
-            occupancy = bits.item(slot) + packet.length
-            if occupancy > soa.limit.item(slot) + 1e-9:
-                soa.drops[slot] += 1
-                self._drop_on_arrival(packet, session_id, now)
-                return
-            bits[slot] = occupancy
-            if occupancy > soa.peak.item(slot):
-                soa.peak[slot] = occupancy
-            if self._soa_samples:
-                samples = self._soa_samples.get(slot)
-                if samples is not None:
-                    samples.record(now, occupancy)
+        buf = self._buffers.get(session_id)
+        if buf is None:
+            # Unregistered sessions can still deliver here while a
+            # removed session drains; account for them the same way.
+            buf = self._buffers[session_id] = _SessionBuffer()
+        occupancy = buf.bits + packet.length
+        limit = buf.limit
+        if limit is not None and occupancy > limit + 1e-9:
+            buf.drops += 1
+            self._drop_on_arrival(packet, session_id, now)
+            return
+        buf.bits = occupancy
+        if occupancy > buf.peak:
+            buf.peak = occupancy
+        samples = buf.samples
+        if samples is not None:
+            samples.record(now, occupancy)
 
         tracer = self.tracer
         if tracer.enabled:
@@ -265,7 +166,7 @@ class ServerNode:
 
     def _drop_on_arrival(self, packet: Packet, session_id: str,
                          now: float) -> None:
-        """Shared tail of a finite-buffer drop (both backends)."""
+        """Shared tail of a finite-buffer drop."""
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(now, "drop", node=self.name,
@@ -326,17 +227,10 @@ class ServerNode:
         packet.finish_time = now
         self.scheduler.on_transmit_complete(packet, now)
 
-        session = packet.session
-        session_id = session.id
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is not None:
-                buf.bits -= packet.length
-        else:
-            slot = session.slot
-            if slot >= 0:
-                soa.bits[slot] -= packet.length
+        session_id = packet.session.id
+        buf = self._buffers.get(session_id)
+        if buf is not None:
+            buf.bits -= packet.length
         self.packets_served += 1
         self.bits_served += packet.length
         self.busy_time += self._tx_time
@@ -424,24 +318,15 @@ class ServerNode:
         buffer path uses, which keeps ``Network._in_flight`` — and with
         it the drain-then-forget machinery — exact under faults.
         """
-        session = packet.session
-        session_id = session.id
+        session_id = packet.session.id
         san = self.sanitizer
         if san is not None:
             san.on_fault_drop(self, packet, reason)
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            if buf is not None:
-                if release_buffer:
-                    buf.bits -= packet.length
-                buf.drops += 1
-        else:
-            slot = session.slot
-            if slot >= 0:
-                if release_buffer:
-                    soa.bits[slot] -= packet.length
-                soa.drops[slot] += 1
+        buf = self._buffers.get(session_id)
+        if buf is not None:
+            if release_buffer:
+                buf.bits -= packet.length
+            buf.drops += 1
         state = self.faults
         if state is not None:
             state.count_drop(reason, session_id)
@@ -459,66 +344,36 @@ class ServerNode:
     @property
     def buffer_bits(self) -> Dict[str, float]:
         """Bits of each session currently at this node (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.bits for sid, buf in self._buffers.items()}
-        return {sid: soa.bits.item(slot)
-                for sid, slot in self._table.items()
-                if soa.member.item(slot)}
+        return {sid: buf.bits for sid, buf in self._buffers.items()}
 
     @property
     def buffer_peak(self) -> Dict[str, float]:
         """Peak per-session occupancy (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.peak for sid, buf in self._buffers.items()}
-        return {sid: soa.peak.item(slot)
-                for sid, slot in self._table.items()
-                if soa.member.item(slot)}
+        return {sid: buf.peak for sid, buf in self._buffers.items()}
 
     @property
     def buffer_samples(self) -> Dict[str, TimeSeries]:
         """Arrival-sampled occupancy series for monitored sessions."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.samples
-                    for sid, buf in self._buffers.items()
-                    if buf.samples is not None}
-        ids = self._table.ids
-        return {ids[slot]: series
-                for slot, series in self._soa_samples.items()
-                if ids[slot] is not None}
+        return {sid: buf.samples
+                for sid, buf in self._buffers.items()
+                if buf.samples is not None}
 
     @property
     def buffer_limits(self) -> Dict[str, float]:
         """Configured finite buffer limits in bits (read-only view)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.limit for sid, buf in self._buffers.items()
-                    if buf.limit is not None}
-        return {sid: soa.limit.item(slot)
-                for sid, slot in self._table.items()
-                if isfinite(soa.limit.item(slot))}
+        return {sid: buf.limit for sid, buf in self._buffers.items()
+                if buf.limit is not None}
 
     @property
     def drops(self) -> Dict[str, int]:
         """Dropped-packet counts for sessions that dropped (read-only)."""
-        soa = self._soa
-        if soa is None:
-            return {sid: buf.drops for sid, buf in self._buffers.items()
-                    if buf.drops > 0}
-        return {sid: int(soa.drops.item(slot))
-                for sid, slot in self._table.items()
-                if soa.drops.item(slot) > 0}
+        return {sid: buf.drops for sid, buf in self._buffers.items()
+                if buf.drops > 0}
 
     def drop_count(self, session_id: str) -> int:
         """Packets of ``session_id`` dropped at this node."""
-        soa = self._soa
-        if soa is None:
-            buf = self._buffers.get(session_id)
-            return buf.drops if buf is not None else 0
-        slot = self._table.slot(session_id)
-        return int(soa.drops.item(slot)) if slot >= 0 else 0
+        buf = self._buffers.get(session_id)
+        return buf.drops if buf is not None else 0
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Fraction of time the link has been busy since time zero.

@@ -68,7 +68,7 @@ class Session:
 
     __slots__ = ("id", "rate", "route", "l_max", "l_min",
                  "jitter_control", "token_bucket", "monitor_buffer",
-                 "_delay_policies", "packets_sent", "slot")
+                 "_delay_policies", "packets_sent")
 
     def __init__(self, session_id: str, rate: float,
                  route: Sequence[str], *, l_max: float,
@@ -116,11 +116,6 @@ class Session:
         self._delay_policies: Optional[Dict[str, "DelayPolicy"]] = None
         #: Number of packets injected so far (source bookkeeping).
         self.packets_sent = 0
-        #: Dense slot in the network's
-        #: :class:`~repro.net.session_table.SessionTable` under the
-        #: ``soa`` state backend; -1 when unassigned (objects backend,
-        #: or released after drain).
-        self.slot = -1
 
     @property
     def delay_policies(self) -> Dict[str, "DelayPolicy"]:

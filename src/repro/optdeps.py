@@ -1,16 +1,11 @@
 """Guarded import of numpy, the optional ``[scale]`` extra.
 
-The core simulator — kernel, network, schedulers under the default
-``objects`` backend, and every tier-1 experiment that matters for the
-paper's tables — is pure standard library.  numpy is needed only by
-
-* the struct-of-arrays session table (``state_backend="soa"``,
-  ``repro.net.session_table``), and
-* the analysis helpers that post-process distributions (histograms,
-  M/D/1 comparisons, delay-bound CDFs).
-
-so pyproject ships it as the optional ``[scale]`` extra rather than a
-hard dependency.  Modules that can work without it import the guarded
+The core simulator — kernel, network, schedulers, and every tier-1
+experiment that matters for the paper's tables — is pure standard
+library.  numpy is needed only by the analysis helpers that
+post-process distributions (histograms, M/D/1 comparisons, delay-bound
+CDFs), so pyproject ships it as the optional ``[scale]`` extra rather
+than a hard dependency.  Modules that can work without it import the guarded
 binding::
 
     from repro.optdeps import np

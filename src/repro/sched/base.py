@@ -32,7 +32,6 @@ from repro.sim.trace import Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.verify.sanitizer import Sanitizer
     from repro.net.node import ServerNode
-    from repro.net.session_table import SessionTable
 
 __all__ = ["Scheduler"]
 
@@ -65,18 +64,6 @@ class Scheduler(ABC):
         self.sim = sim
         if tracer is not None:
             self.tracer = tracer
-
-    def use_session_table(self, table: "SessionTable") -> None:
-        """Adopt the network's struct-of-arrays session state (optional).
-
-        Called once, right after :meth:`bind`, when the owning network
-        runs with ``state_backend="soa"``.  Disciplines with
-        per-session hot state (Leave-in-Time's F/K recursion, EDD's
-        local bounds) override this to allocate columns in the shared
-        :class:`~repro.net.session_table.SessionTable`; disciplines
-        without per-session state (FCFS) ignore it — there is nothing
-        to tabulate.
-        """
 
     def register_session(self, session: Session) -> None:
         """Learn about a session before its first packet (optional hook).

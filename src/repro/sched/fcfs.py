@@ -3,12 +3,8 @@ introduction argues is insufficient for real-time traffic.
 
 Kept as the simplest baseline: it provides no isolation, so a bursty
 session inflates every other session's delay — the behaviour the
-firewall experiments contrast Leave-in-Time against.
-
-FCFS keeps no per-session state at all, so it ignores the
-``state_backend`` choice entirely: it inherits the no-op
-:meth:`~repro.sched.base.Scheduler.use_session_table` hook and runs
-identically (same objects, same digests) under both backends.
+firewall experiments contrast Leave-in-Time against.  It keeps no
+per-session state at all.
 """
 
 from __future__ import annotations

@@ -33,22 +33,14 @@ The scheduler tracks its own saturation invariant: under correct
 admission control, ``F̂ < F + L_MAX/C`` for every packet, i.e. the
 observed lateness stays below one maximum packet transmission time.
 
-Per-session state (``k_prev``, the resolved affine policy, the
-initialization flag) has two backends.  The default keeps one
-:class:`_SessionState` object per session; under
-``Network(state_backend="soa")`` the same quantities live in float64
-columns of the network's
-:class:`~repro.net.session_table.SessionTable`, indexed by the
-packet's dense ``session.slot`` — every policy the paper uses is
-affine (``d(L) = slope·L + offset``), so three columns replace the
-policy object entirely.  Scalars are read with ``ndarray.item`` and
-the recursions computed in Python floats, keeping dispatch digests
-bit-identical across backends (``tests/sim/test_state_backends.py``).
+Per-session state (``k_prev``, the resolved policy, the
+initialization flag and the regulator holds) lives in one
+:class:`_SessionState` object per session.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net.packet import Packet
@@ -59,9 +51,6 @@ from repro.sched.calendar_queue import (DeadlineQueue, HeapDeadlineQueue,
 from repro.sched.policy import DelayPolicy, virtual_clock_policy
 from repro.sim.events import Event
 from repro.sim.kernel import PRIORITY_NORMAL
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.session_table import ColumnGroup, SessionTable
 
 __all__ = ["LeaveInTime"]
 
@@ -81,8 +70,10 @@ class _SessionState:
         self.k_prev = 0.0
         self.initialized = False
         #: Packets inside this session's delay regulator: seq ->
-        #: (release event, packet). Teardown flushes these.
-        self.pending: Dict[int, Tuple[Event, Packet]] = {}
+        #: (release event, packet). Teardown flushes these.  None until
+        #: the first hold: only jitter-controlled sessions are ever
+        #: held, and every node keeps one state per registered session.
+        self.pending: Optional[Dict[int, Tuple[Event, Packet]]] = None
 
     def resolve_policy(self, node_name: str) -> DelayPolicy:
         """Fetch the admission-assigned policy, defaulting to VirtualClock.
@@ -116,90 +107,21 @@ class LeaveInTime(Scheduler):
         self._eligible: DeadlineQueue = queue or HeapDeadlineQueue()
         self._sessions: Dict[str, _SessionState] = {}
         self._held = 0
-        #: soa backend: recursion/policy columns in the network's
-        #: SessionTable; None under the objects backend.
-        self._soa: Optional["ColumnGroup"] = None
-        self._table: Optional["SessionTable"] = None
-        #: soa backend: regulator holds, keyed by slot.  The slot key
-        #: is inserted at registration (value None until the first
-        #: hold) so iteration order matches the objects backend's
-        #: ``_sessions`` insertion order — flush order is load-bearing
-        #: for deadline ties in the eligible heap.
-        self._pending: Dict[int,
-                            Optional[Dict[int,
-                                          Tuple[Event, Packet]]]] = {}
 
     # ------------------------------------------------------------------
     # Scheduler contract
     # ------------------------------------------------------------------
-    def use_session_table(self, table: "SessionTable") -> None:
-        group = table.group()
-        group.add("k_prev", 0.0)
-        group.add("started", False, dtype="bool")
-        group.add("resolved", False, dtype="bool")
-        group.add("d_slope", 0.0)
-        group.add("d_offset", 0.0)
-        group.add("d_ceiling", 0.0)
-        group.add("member", False, dtype="bool")
-        self._soa = group
-        self._table = table
-
-    def _soa_admit(self, slot: int) -> None:
-        """Mark a slot live at this scheduler (mirrors state creation)."""
-        self._soa.member[slot] = True
-        self._pending.setdefault(slot, None)
-
-    def _soa_resolve(self, session: Session, slot: int) -> None:
-        """Resolve the affine policy into the slot's three columns.
-
-        The stored ``d_ceiling`` is ``policy.d_max`` computed once —
-        the identical ``slope·l_max + offset`` IEEE product the objects
-        path evaluates per call.
-        """
-        assigned = session.policy_for(self.node.name)
-        if assigned is None:
-            assigned = virtual_clock_policy(
-                session.rate, session.l_max, session.l_min)
-        soa = self._soa
-        soa.d_slope[slot] = assigned.slope
-        soa.d_offset[slot] = assigned.offset
-        soa.d_ceiling[slot] = assigned.d_max
-        soa.resolved[slot] = True
-
     def register_session(self, session: Session) -> None:
-        if self._soa is None:
-            self._sessions.setdefault(session.id,
-                                      _SessionState(session))
-            return
-        slot = session.slot
-        if slot < 0:
-            raise SimulationError(
-                f"session {session.id!r} has no session-table slot; "
-                f"register sessions through Network.add_session under "
-                f"the soa backend")
-        if not self._soa.member.item(slot):
-            self._soa_admit(slot)
+        self._sessions.setdefault(session.id, _SessionState(session))
 
     def on_arrival(self, packet: Packet, now: float) -> None:
         session = packet.session
         node = self.node
-        soa = self._soa
-        if soa is None:
-            state = self._sessions.get(session.id)
-            if state is None:
-                state = _SessionState(session)
-                self._sessions[session.id] = state
-            policy = state.resolve_policy(node.name)
-        else:
-            slot = session.slot
-            if slot < 0:
-                raise SimulationError(
-                    f"packet of session {session.id!r} reached "
-                    f"{node.name} without a session-table slot")
-            if not soa.member.item(slot):
-                self._soa_admit(slot)
-            if not soa.resolved.item(slot):
-                self._soa_resolve(session, slot)
+        state = self._sessions.get(session.id)
+        if state is None:
+            state = _SessionState(session)
+            self._sessions[session.id] = state
+        policy = state.resolve_policy(node.name)
 
         # Eligibility time (eq. 6-8): the holding time in the header is
         # zero at the first node and for sessions without jitter control.
@@ -214,31 +136,15 @@ class LeaveInTime(Scheduler):
             eligible_at = now
         packet.eligible_time = eligible_at
 
-        # Deadline recursions (eq. 10-11) with K_0 = t_1.  The soa
-        # branch reads scalars with .item() and computes in Python
-        # floats: the same operations as the objects branch, so the
-        # resulting deadlines are bit-identical.
-        if soa is None:
-            if not state.initialized:
-                state.k_prev = now
-                state.initialized = True
-            base = eligible_at if eligible_at > state.k_prev \
-                else state.k_prev
-            packet.deadline = base + policy.d_of(packet.length)
-            state.k_prev = base + packet.length / session.rate
-            k_next = state.k_prev
-        else:
-            if not soa.started.item(slot):
-                k_prev = now
-                soa.started[slot] = True
-            else:
-                k_prev = soa.k_prev.item(slot)
-            base = eligible_at if eligible_at > k_prev else k_prev
-            packet.deadline = base + (
-                soa.d_slope.item(slot) * packet.length
-                + soa.d_offset.item(slot))
-            k_next = base + packet.length / session.rate
-            soa.k_prev[slot] = k_next
+        # Deadline recursions (eq. 10-11) with K_0 = t_1.
+        if not state.initialized:
+            state.k_prev = now
+            state.initialized = True
+        base = eligible_at if eligible_at > state.k_prev \
+            else state.k_prev
+        packet.deadline = base + policy.d_of(packet.length)
+        state.k_prev = base + packet.length / session.rate
+        k_next = state.k_prev
 
         tracer = self.tracer
         if tracer.enabled:
@@ -263,26 +169,16 @@ class LeaveInTime(Scheduler):
             # order is load-bearing for deadline ties.
             event = self.sim.schedule_at(eligible_at, self._release,
                                          packet, priority=PRIORITY_NORMAL)
-            entry = (event, packet)
-            if soa is None:
-                state.pending[packet.seq] = entry
-            else:
-                holds = self._pending.get(slot)
-                if holds is None:
-                    holds = self._pending[slot] = {}
-                holds[packet.seq] = entry
+            pending = state.pending
+            if pending is None:
+                pending = state.pending = {}
+            pending[packet.seq] = (event, packet)
 
     def _release(self, packet: Packet) -> None:
         """A delay regulator hold expired; queue the packet for service."""
-        session = packet.session
-        if self._soa is None:
-            state = self._sessions.get(session.id)
-            if state is not None:
-                state.pending.pop(packet.seq, None)
-        else:
-            holds = self._pending.get(session.slot)
-            if holds is not None:
-                holds.pop(packet.seq, None)
+        state = self._sessions.get(packet.session.id)
+        if state is not None:
+            state.pending.pop(packet.seq, None)
         self._held -= 1
         self._eligible.push(packet)
         tracer = self.tracer
@@ -313,33 +209,6 @@ class LeaveInTime(Scheduler):
         # this node's outgoing link.
         node = self.node
         l_max_network = node.network.l_max
-        soa = self._soa
-        if soa is not None:
-            slot = session.slot
-            if slot >= 0 and soa.member.item(slot):
-                if not soa.resolved.item(slot):
-                    self._soa_resolve(session, slot)
-                d_max = soa.d_ceiling.item(slot)
-                d_i = (soa.d_slope.item(slot) * packet.length
-                       + soa.d_offset.item(slot))
-            else:
-                # Session torn down while this packet was in flight:
-                # relabel from the session's own assignment (never
-                # caching into a possibly recycled slot).
-                policy = session.policy_for(node.name) \
-                    or virtual_clock_policy(session.rate, session.l_max,
-                                            session.l_min)
-                d_max = policy.d_max
-                d_i = policy.d_of(packet.length)
-            holding = (packet.deadline + l_max_network / self.capacity
-                       - now + d_max - d_i)
-            if holding < -_HOLD_EPSILON:
-                raise SimulationError(
-                    f"holding-time computation went negative ({holding}) "
-                    f"for {session.id}#{packet.seq} at {node.name}; "
-                    "this indicates scheduler saturation")
-            packet.holding_time = max(0.0, holding)
-            return
         state = self._sessions.get(session.id)
         if state is not None:
             policy = state.resolve_policy(node.name)
@@ -390,26 +259,6 @@ class LeaveInTime(Scheduler):
             # A re-admitted session restarts its K/F recursion from the
             # current clock; drop the stale monotonicity baseline.
             san.on_lit_forget(self.node.name, session_id)
-        if self._soa is not None:
-            slot = self._table.slot(session_id)
-            if slot < 0:
-                return
-            holds = self._pending.pop(slot, None)
-            self._soa.reset_slot(slot)
-            if not holds:
-                return
-            tracer = self.tracer
-            eligible = self._eligible
-            for event, packet in holds.values():  # repro: disable=nondeterministic-iteration -- holds is keyed by monotonically increasing seq and dicts preserve insertion order, so this iteration is deterministic
-                event.cancel()
-                self._held -= 1
-                eligible.push(packet)
-                if tracer.enabled:
-                    tracer.emit(self.sim.now, "flush",
-                                node=self.node.name, session=session_id,
-                                packet=packet.seq)
-            self._wake_node()
-            return
         state = self._sessions.pop(session_id, None)
         if state is None or not state.pending:
             return
@@ -427,16 +276,7 @@ class LeaveInTime(Scheduler):
         self._wake_node()
 
     def session_state(self, session_id: str) -> _SessionState:
-        """Expose per-session state for tests and diagnostics.
-
-        Objects backend only: the soa backend keeps these quantities in
-        table columns, not per-session objects.
-        """
-        if self._soa is not None:
-            raise SimulationError(
-                "session_state() is an objects-backend diagnostic; "
-                "under state_backend='soa' read the scheduler's column "
-                "group instead")
+        """Expose per-session state for tests and diagnostics."""
         return self._sessions[session_id]
 
     # ------------------------------------------------------------------
@@ -452,25 +292,15 @@ class LeaveInTime(Scheduler):
         machinery uses, so ``_held`` can never leak.
         """
         flushed: List[Packet] = []
-        if self._soa is not None:
-            for holds in self._pending.values():  # repro: disable=nondeterministic-iteration -- slot keys are inserted at registration time, mirroring the objects backend's _sessions insertion order, so flush order is identical across backends
-                if not holds:
-                    continue
-                for event, packet in holds.values():
-                    event.cancel()
-                    self._held -= 1
-                    flushed.append(packet)
-                holds.clear()
-        else:
-            for state in self._sessions.values():
-                pending = state.pending
-                if not pending:
-                    continue
-                for event, packet in pending.values():
-                    event.cancel()
-                    self._held -= 1
-                    flushed.append(packet)
-                pending.clear()
+        for state in self._sessions.values():
+            pending = state.pending
+            if not pending:
+                continue
+            for event, packet in pending.values():
+                event.cancel()
+                self._held -= 1
+                flushed.append(packet)
+            pending.clear()
         while True:
             packet = self._eligible.pop()
             if packet is None:

@@ -18,10 +18,10 @@ Two backends ship:
     built on demand (``make compiled-backend``) and guarded with an
     actionable error when absent, mirroring :mod:`repro.optdeps`.
 
-Selection mirrors the ``state_backend`` plumbing: constructor argument
-beats the ``REPRO_KERNEL_BACKEND`` environment variable beats the
-default, and the CLI's ``--kernel-backend`` pins the environment
-variable so sweep worker processes inherit the choice.
+Selection: constructor argument beats the ``REPRO_KERNEL_BACKEND``
+environment variable beats the default, and the CLI's
+``--kernel-backend`` pins the environment variable so sweep worker
+processes inherit the choice.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def resolve_backend(requested: "str | None" = None) -> str:
     """Resolve a backend name: argument > env var > default.
 
     Raises :class:`~repro.errors.ConfigurationError` for unknown
-    names, naming the valid choices — same contract as the network
-    layer's ``state_backend`` resolution.
+    names, naming the valid choices.
     """
     name = requested
     if name is None:

@@ -1,5 +1,6 @@
 """BENCH telemetry records: schema, round-trip, emission gating."""
 
+import dataclasses
 import json
 
 import pytest
@@ -51,13 +52,12 @@ class TestRecord:
     def test_state_backend_defaults_to_unknown(self):
         assert sample_record().state_backend is None
 
-    def test_state_backend_is_stamped(self):
+    def test_kernel_backend_is_stamped(self):
         record = bench.make_record(
             "heavy", wall_time_s=1.0, events_dispatched=10, workers=1,
-            simulated_s=1.0, cells=1, kernel_backend="python",
-            state_backend="soa")
-        assert record.state_backend == "soa"
+            simulated_s=1.0, cells=1, kernel_backend="python")
         assert record.kernel_backend == "python"
+        assert record.state_backend is None
 
 
 class TestRoundTrip:
@@ -100,9 +100,9 @@ class TestRoundTrip:
         assert bench.read_record(path).partitions == 1
 
     def test_state_backend_round_trips(self, tmp_path):
-        record = bench.make_record(
-            "heavy", wall_time_s=1.0, events_dispatched=10, workers=1,
-            simulated_s=1.0, cells=1, state_backend="objects")
+        # Only older records carry the field; it must survive a write.
+        record = dataclasses.replace(sample_record(),
+                                     state_backend="objects")
         loaded = bench.read_record(bench.write_record(record, tmp_path))
         assert loaded == record
         assert loaded.state_backend == "objects"
@@ -122,6 +122,14 @@ class TestRoundTrip:
         payload["kernel_backend"] = "batch"  # a pre-removal record
         path.write_text(json.dumps(payload))
         assert bench.read_record(path).kernel_backend == "batch"
+
+    def test_records_naming_the_removed_soa_backend_still_load(
+            self, tmp_path):
+        path = bench.write_record(sample_record(), tmp_path)
+        payload = json.loads(path.read_text())
+        payload["state_backend"] = "soa"  # a pre-removal record
+        path.write_text(json.dumps(payload))
+        assert bench.read_record(path).state_backend == "soa"
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = bench.write_record(sample_record(), tmp_path)

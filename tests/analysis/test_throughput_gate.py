@@ -13,6 +13,8 @@ Re-record the baseline after intentional kernel changes::
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import bench, throughput
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -50,3 +52,20 @@ def test_smoke_throughput_clears_the_gate(tmp_path, capsys):
     assert status == 0, (
         f"kernel throughput regressed more than {MAX_REGRESSION_PCT}% "
         f"below the committed baseline: {out}")
+
+
+@pytest.mark.parametrize("value", ["objects", "soa"])
+def test_removed_state_backend_flag_is_rejected(value):
+    with pytest.raises(SystemExit):
+        throughput.main(["--sessions", "10", "--state-backend", value])
+
+
+def test_scaling_mode_records_sessions_and_rss(tmp_path, capsys):
+    assert throughput.main(["--sessions", "200", "--horizon", "0.05",
+                            "--out", str(tmp_path)]) == 0
+    record = bench.read_record(
+        tmp_path / f"BENCH_{throughput.SCALING_EXPERIMENT}.json")
+    assert record.sessions == 200
+    assert record.events_dispatched > 0
+    assert record.state_backend is None
+    assert "200 sessions" in capsys.readouterr().out

@@ -151,6 +151,12 @@ def test_parser_rejects_removed_batch_kernel_backend():
         parser.parse_args(["figure07", "--kernel-backend", "batch"])
 
 
+@pytest.mark.parametrize("value", ["objects", "soa"])
+def test_parser_rejects_removed_state_backend_flag(value):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["figure07", "--state-backend", value])
+
+
 def test_parser_accepts_profile_flag():
     parser = build_parser()
     assert parser.parse_args(["figure07"]).profile is None
@@ -188,15 +194,16 @@ def test_cli_writes_bench_record(tmp_path, capsys):
 def test_cli_bench_record_names_the_selected_backends(tmp_path,
                                                       monkeypatch):
     from repro.analysis import bench
-    # main() pins the selections in the environment for pool workers;
-    # setting them here first makes monkeypatch undo that afterwards.
+    # main() pins the selection in the environment for pool workers;
+    # setting it here first makes monkeypatch undo that afterwards.
     # The flag must beat an ambient selection (compiled needs no
     # build here: the flag replaces it before any Simulator exists).
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "objects")
     assert main(["figure08", "--duration", "2", "--workers", "1",
                  "--kernel-backend", "python",
                  "--bench-dir", str(tmp_path)]) == 0
     record = bench.read_record(tmp_path / "BENCH_fig08.json")
     assert record.kernel_backend == "python"
-    assert record.state_backend == "objects"
+    # Session state has one representation; new records leave the
+    # field to older ones.
+    assert record.state_backend is None

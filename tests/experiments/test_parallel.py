@@ -100,26 +100,23 @@ class TestBenchEmission:
         monkeypatch.setenv(bench.ENV_ENABLE, "1")
         monkeypatch.setenv(bench.ENV_DIR, str(tmp_path))
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
         run_cells("defaults", [Cell(label="c", fn=_square,
                                     kwargs={"x": 1})])
         record = bench.read_record(tmp_path / "BENCH_defaults.json")
         assert record.kernel_backend == "python"
-        assert record.state_backend == "objects"
+        assert record.state_backend is None
 
     def test_run_cells_stamps_selected_backends(self, tmp_path,
                                                 monkeypatch):
-        # The CLI's --kernel-backend / --state-backend set these.
+        # The CLI's --kernel-backend sets this.
         monkeypatch.setenv(bench.ENV_ENABLE, "1")
         monkeypatch.setenv(bench.ENV_DIR, str(tmp_path))
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
-        monkeypatch.setenv("REPRO_STATE_BACKEND", "soa")
         cells = [Cell(label=f"c{x}", fn=_square, kwargs={"x": x})
                  for x in (2, 3)]
         run_cells("selected", cells, workers=2)
         record = bench.read_record(tmp_path / "BENCH_selected.json")
         assert record.kernel_backend == "compiled"
-        assert record.state_backend == "soa"
 
     def test_no_file_without_opt_in(self, tmp_path, monkeypatch):
         monkeypatch.setenv(bench.ENV_DIR, str(tmp_path))

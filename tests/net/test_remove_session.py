@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.session import Session
+from repro.net.sink import Sink
 from repro.sched.leave_in_time import LeaveInTime
+from repro.traffic.trace_source import TraceSource
 from tests.conftest import add_trace_session, make_network
 
 
@@ -145,6 +148,81 @@ def test_reserved_rate_drops_after_removal():
     assert network.reserved_rate("n1") == 100.0
     network.remove_session("s")
     assert network.reserved_rate("n1") == 0.0
+
+
+def test_drain_accounting_survives_mid_flight_removal():
+    """Per-node state lingers while draining and clears once drained."""
+    network = make_network(LeaveInTime, capacity=1.0)
+    add_trace_session(network, "s", rate=1.0, times=[0.0],
+                      lengths=10.0)
+    network.run(5.0)  # the 10 s packet is still on the wire
+    network.remove_session("s")
+    node = network.node("n1")
+    assert node.buffer_bits["s"] == 10.0  # draining, not forgotten
+    assert network._in_flight(network._draining["s"][0]) == 1
+    network.run(20.0)
+    assert network.sink("s").received == 1
+    assert "s" not in network._draining
+    assert "s" not in node.buffer_bits
+    assert node.drop_count("s") == 0
+
+
+def test_readded_session_starts_from_clean_state():
+    """A re-added id gets fresh buffer, drop and deadline state."""
+    network = make_network(LeaveInTime, nodes=2, capacity=1000.0)
+    # Two 100-bit packets at t=0 against a 150-bit buffer: one drops.
+    # The 10 b/s rate leaves K_i far in the future (t=20 s).
+    add_trace_session(network, "a", rate=10.0, times=[0.0, 0.0, 0.2],
+                      lengths=100.0, route=["n1", "n2"])
+    add_trace_session(network, "b", rate=100.0, times=[0.05, 0.15],
+                      lengths=100.0, route=["n1", "n2"])
+    node = network.node("n1")
+    node.set_buffer_limit("a", 150.0)
+    network.run(5.0)
+    assert node.drop_count("a") == 1
+    assert node.scheduler.session_state("a").k_prev == 20.0
+    network.remove_session("a")  # fully drained: finalized at once
+    assert "a" not in node.buffer_bits
+    _, sink_a, _ = add_trace_session(
+        network, "a", rate=100.0, times=[0.0, 0.1], lengths=100.0,
+        route=["n1", "n2"])
+    assert node.buffer_bits["a"] == 0.0
+    assert node.drop_count("a") == 0
+    assert node.buffer_limits.get("a") is None
+    state = node.scheduler.session_state("a")
+    assert not state.initialized
+    network.run(10.0)
+    assert sink_a.received == 2
+    assert node.buffer_bits["a"] == 0.0
+    assert node.drop_count("a") == 0
+    # The recursion restarted at the first arrival (t=5), not from the
+    # old session's K_i = 20 s: K = 5 + 1, then max(5.1, 6) + 1.
+    assert state.k_prev == pytest.approx(7.0)
+    # b was untouched by a's teardown and re-admission.
+    assert network.sink("b").received == 2
+    assert node.drop_count("b") == 0
+
+
+def test_remove_session_on_a_shared_sink_rejected():
+    """A shared sink's counters cannot tell when one session drained."""
+    network = make_network(LeaveInTime, capacity=1.0)
+    shared = Sink("aggregate")
+    sessions = {}
+    for sid, times, length in (("a", [5.0], 10.0),
+                               ("b", [0.0, 1.0, 2.0], 1.0)):
+        session = Session(sid, rate=0.5, route=["n1"], l_max=length)
+        network.add_session(session, sink=shared)
+        TraceSource(network, session, times=times, lengths=length)
+        sessions[sid] = session
+    network.run(5.5)  # b delivered 3 packets; a's is on the wire
+    assert shared.received == 3
+    with pytest.raises(ConfigurationError, match="shares sink"):
+        network.remove_session("a")
+    # The refused removal changed nothing: a still delivers.
+    assert "a" in network.sessions
+    assert not network._draining
+    network.run(20.0)
+    assert shared.received == 4
 
 
 class TestChurnFaultOverlap:

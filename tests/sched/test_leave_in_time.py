@@ -152,6 +152,20 @@ class TestRegulators:
         assert scheduler.held >= 1
         assert scheduler.backlog >= scheduler.held
 
+    def test_regulator_map_allocated_on_first_hold_only(self):
+        # Node 1 never holds (eq. 8), so its state keeps no hold map;
+        # node 2's map appears with the first hold and empties on
+        # release.
+        network, _, _ = self.build_tandem()
+        network.run(0.3)
+        first = network.node("n1").scheduler.session_state("s")
+        second = network.node("n2").scheduler.session_state("s")
+        assert first.pending is None
+        assert second.pending
+        network.run(10.0)
+        assert first.pending is None
+        assert second.pending == {}
+
 
 class TestSaturationInvariant:
     def test_lateness_below_one_packet_time(self):

@@ -11,7 +11,9 @@ that claim to golden SHA-256 digests computed on the pre-overhaul tree
   positive priorities, cancellations, and a mid-script reset — the
   dispatch *order* digest;
 * one shortened Figure-7 MIX cell, tracing off and tracing on — the
-  figure-observable and trace-stream digests.
+  figure-observable and trace-stream digests;
+* one call-churn cell and two fault-sweep cells (clean and faulted) —
+  admission, per-call teardown, drops, link flaps and requeue recovery.
 
 If a kernel change breaks one of these digests it changed simulation
 semantics, not just speed, and must be rejected (or the change must be
@@ -30,6 +32,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.experiments import call_churn, fault_sweep
 from repro.experiments.common import build_mix_network
 from repro.experiments.figure07 import TARGET_SESSION
 from repro.sim.backends import KERNEL_BACKENDS, available_backends
@@ -43,6 +46,16 @@ FIG07_CELL_DIGEST_TRACE_OFF = (
     "fc53b35c8506c0850734c90aaaf7b254c4bb66681c12988884c3467ff680d286")
 FIG07_CELL_DIGEST_TRACE_ON = (
     "ebc96f87b7a8a761e844175f3877a68efe22393a728fde5f92388020db271fec")
+
+# Golden digests of the churn and fault cells, computed on commit
+# b23538d (where they were also equal across the session-state
+# representations that tree carried).
+CALL_CHURN_CELL_DIGEST = (
+    "b75f1a6daeff047fc22096b1bfed851ea1f4ddc4ad23d2a2f4740fe930159b76")
+FAULT_SWEEP_CELL_DIGESTS = {
+    0.0: "62545ef5b1e77a93b45dcf974ff4ff84924c495c437cae526c81cf10ab6b9fbd",
+    1.0: "709c99c554fbcb3756073d64a7782079a51c6ac54a7b298a8e36c7085707e2b0",
+}
 
 #: Shortened fig07 cell: one mid-sweep a_OFF point, one simulated second.
 _A_OFF = ms(88.0)
@@ -127,6 +140,22 @@ def fig07_cell_digest(trace_on: bool) -> str:
     return _digest(parts)
 
 
+def churn_cell_digest() -> str:
+    """Digest of one call-churn cell's per-call log and event count."""
+    output = call_churn._cell(duration=8.0, seed=0,
+                              offered_erlangs=12.0, mean_holding=2.0)
+    parts = [repr(call) for call in output.value.calls]
+    parts.append(repr(output.events))
+    return _digest(parts)
+
+
+def fault_cell_digest(outage: float) -> str:
+    """Digest of one Leave-in-Time fault-sweep cell (0 = clean)."""
+    output = fault_sweep._cell(discipline="leave-in-time",
+                               outage=outage, duration=6.0, seed=0)
+    return _digest([repr(output.value), repr(output.events)])
+
+
 # Every kernel backend must reproduce the goldens bit-for-bit — the
 # equivalence half of the backend contract (the Simulator docstring).
 # Selection goes through the environment variable, the same path the
@@ -150,3 +179,12 @@ def test_fig07_cell_is_bit_identical_tracing_off(kernel_backend):
 
 def test_fig07_cell_is_bit_identical_tracing_on(kernel_backend):
     assert fig07_cell_digest(trace_on=True) == FIG07_CELL_DIGEST_TRACE_ON
+
+
+def test_call_churn_cell_digest_matches_golden(kernel_backend):
+    assert churn_cell_digest() == CALL_CHURN_CELL_DIGEST
+
+
+@pytest.mark.parametrize("outage", [0.0, 1.0], ids=["clean", "faulted"])
+def test_fault_sweep_cell_digest_matches_golden(kernel_backend, outage):
+    assert fault_cell_digest(outage) == FAULT_SWEEP_CELL_DIGESTS[outage]

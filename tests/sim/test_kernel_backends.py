@@ -15,26 +15,25 @@ Two halves:
 
 The figure-level equivalence gates (call churn, fault sweep clean and
 faulted, the space-parallel shard digest) close the file: every
-backend must reproduce the python backend's digests bit-for-bit, the
-same standard ``test_state_backends.py`` holds the session-state
-backends to.
+backend must reproduce the python backend's digests bit-for-bit.
+The cells are the ones ``test_dispatch_digest.py`` pins to goldens.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional, Tuple
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments import call_churn, fault_sweep
 from repro.sim import backends
 from repro.sim.backends import (KERNEL_BACKENDS, available_backends,
                                 compiled, resolve_backend,
                                 simulator_class)
 from repro.sim.backends.compiled import CompiledSimulator
 from repro.sim.kernel import Simulator
+from tests.sim.test_dispatch_digest import (churn_cell_digest,
+                                            fault_cell_digest)
 
 
 @pytest.fixture(params=KERNEL_BACKENDS)
@@ -327,27 +326,11 @@ def test_pop_and_step_see_staged_entries(kernel_backend):
 # Figure-level equivalence: every backend reproduces the python
 # backend's digests bit-for-bit
 # ----------------------------------------------------------------------
-def _churn_digest() -> str:
-    output = call_churn._cell(duration=8.0, seed=0,
-                              offered_erlangs=12.0, mean_holding=2.0)
-    result = output.value
-    parts = [repr(call) for call in result.calls]
-    parts.append(repr(output.events))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-def _fault_digest(outage: float) -> str:
-    output = fault_sweep._cell(discipline="leave-in-time",
-                               outage=outage, duration=6.0, seed=0)
-    parts = [repr(output.value), repr(output.events)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
 def test_call_churn_digest_identical_across_backends(monkeypatch):
     digests = {}
     for backend in available_backends():
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        digests[backend] = _churn_digest()
+        digests[backend] = churn_cell_digest()
     assert len(set(digests.values())) == 1, digests
 
 
@@ -358,7 +341,7 @@ def test_fault_sweep_digest_identical_across_backends(monkeypatch,
     digests = {}
     for backend in available_backends():
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        digests[backend] = _fault_digest(outage)
+        digests[backend] = fault_cell_digest(outage)
     assert len(set(digests.values())) == 1, digests
 
 
