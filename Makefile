@@ -8,16 +8,12 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: ci test ruff repro-lint repro-verify repro-det repro-hot \
-	repro-analyze hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize perfbench-check backend-matrix \
-	compiled-backend mypy perf-guard backend-perf-guard \
+.PHONY: ci test ruff analyze parallel-smoke sanitize perfbench-check \
+	backend-matrix compiled-backend mypy perf-guard backend-perf-guard \
 	heavy-traffic-smoke
 
-ci: test ruff repro-lint repro-verify repro-det repro-hot \
-	hot-profile-smoke perturb-smoke \
-	parallel-smoke sanitize perfbench-check backend-matrix mypy \
-	perf-guard backend-perf-guard heavy-traffic-smoke
+ci: test ruff analyze parallel-smoke sanitize perfbench-check \
+	backend-matrix mypy perf-guard backend-perf-guard heavy-traffic-smoke
 	@echo "== ci: all jobs done =="
 
 test:
@@ -37,38 +33,18 @@ ruff:
 		echo "-- ruff not installed: skipped (runs in GitHub Actions) --"; \
 	fi
 
-repro-lint:
-	@echo "== ci job: repro-lint =="
-	$(PYTHON) -m repro.analysis.lint.cli src
-
-repro-verify:
-	@echo "== ci job: repro-verify =="
-	$(PYTHON) -m repro.analysis.verify src
-
-repro-det:
-	@echo "== ci job: repro-det =="
-	$(PYTHON) -m repro.analysis.det src
-
-repro-hot:
-	@echo "== ci job: repro-hot =="
-	$(PYTHON) -m repro.analysis.hot src
-
-# Not a CI job of its own — the four analyzer jobs gate individually —
-# but the one-process front door the pre-commit hook uses; handy for a
-# local whole-tree sweep with one shared Program assembly.
-repro-analyze:
-	@echo "== repro-analyze (lint + verify + det + hot) =="
-	$(PYTHON) -m repro.analysis.front src
-
-hot-profile-smoke:
-	@echo "== ci job: hot-profile-smoke =="
-	$(PYTHON) -m repro.analysis.hot src --profile fig07 \
-		--budget 5 --bench-dir /tmp/repro-hotprof
-
-perturb-smoke:
-	@echo "== ci job: perturb-smoke =="
-	$(PYTHON) -m repro.analysis.det --perturb --scenario fig07 \
-		--horizon 0.15 --rounds 1 --bench-dir /tmp/repro-perturb
+# The four static analyzers as a hard gate, then the two dynamic
+# modes on a shortened fig07 (CI also uploads the SARIF log; locally
+# it is written to /tmp for inspection).
+analyze:
+	@echo "== ci job: analyze =="
+	$(PYTHON) -m repro.analysis src
+	$(PYTHON) -m repro.analysis src --format sarif \
+		> /tmp/repro-analysis.sarif || true
+	$(PYTHON) -m repro.analysis --perturb fig07 --horizon 0.15 \
+		--rounds 1 --bench-dir /tmp/repro-analyze
+	$(PYTHON) -m repro.analysis src --profile fig07 --budget 5 \
+		--bench-dir /tmp/repro-analyze
 
 parallel-smoke:
 	@echo "== ci job: parallel-smoke =="

@@ -3,10 +3,9 @@ and plain-text report tables for the experiment harness.
 
 The re-exports resolve lazily (PEP 562): ``repro.analysis.confidence``
 pulls in scipy, which costs more wall time than a whole warm analyzer
-run — and the static-analysis CLIs (``repro.analysis.lint`` /
-``verify`` / ``det`` / ``hot``, all pure stdlib) live under this
-package, so an eager import here would tax every lint invocation with
-a dependency it never touches.
+run — and the static analyzers (``repro-analyze``, all pure stdlib)
+live under this package, so an eager import here would tax every
+analyzer invocation with a dependency it never touches.
 """
 
 import importlib

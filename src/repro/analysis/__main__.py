@@ -1,6 +1,6 @@
-"""``python -m repro.analysis`` runs the static-analysis pass."""
+"""``python -m repro.analysis`` runs ``repro-analyze``."""
 
-from repro.analysis.lint.cli import main
+from repro.analysis.front import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -28,7 +28,7 @@ The JSON schema is flat and versioned::
       "state_backend": null
     }
 
-``deterministic`` is stamped by the ``repro-det --perturb`` differ
+``deterministic`` is stamped by the ``repro-analyze --perturb`` differ
 (true/false) and ``null`` for runs whose reproducibility was not
 dynamically verified.
 
@@ -118,7 +118,7 @@ class BenchRecord:
     git_rev: str
     schema: int = SCHEMA_VERSION
     #: Verdict of the schedule-perturbation differ for this run:
-    #: True/False when ``repro-det --perturb`` checked it, None when
+    #: True/False when ``repro-analyze --perturb`` checked it, None when
     #: reproducibility was not dynamically verified.  Additive with a
     #: default, so schema-1 records (and readers) stay valid.
     deterministic: Optional[bool] = None

@@ -1,32 +1,21 @@
-"""Determinism & parallel-safety analysis (``repro-det``).
+"""Determinism & parallel-safety analysis (``repro-analyze``'s det).
 
-The third analyzer, gating the ROADMAP's space-parallel kernel (see
+The third analyzer, gating the space-parallel kernel (see
 :doc:`docs/determinism`):
 
 * **Static** — :mod:`.rules` runs three whole-program rules
   (shared-mutable-state, rng-stream-discipline, unordered-merge) over
-  the same cached per-file summaries and call graph as
-  ``repro-verify``; :mod:`.core` is the driver, :mod:`.cli` the
-  ``repro-det`` entry point.
+  the same per-file summaries and call graph as verify.
 * **Dynamic** — :mod:`.perturb` reruns a scenario under shuffled
-  tie-break order, shuffled session registration, and ``workers=1``
-  vs ``workers=N``, diffing observables and traces and minimizing any
-  divergence to the first differing event (``repro-det --perturb``).
+  tie-break order, shuffled session registration, ``workers=1`` vs
+  ``workers=N``, and shuffled space-parallel partitions, diffing
+  observables and traces and minimizing any divergence to the first
+  differing event (``repro-analyze --perturb SCENARIO``).
 
 This ``__init__`` imports only the static side; the differ (which
-pulls the experiment stack) is imported lazily by the CLI.
+pulls the experiment stack) is imported lazily by the front door.
 """
 
-from repro.analysis.det.core import (
-    analyze_determinism,
-    build_program,
-    default_rules,
-)
 from repro.analysis.det.rules import registered_rules
 
-__all__ = [
-    "analyze_determinism",
-    "build_program",
-    "default_rules",
-    "registered_rules",
-]
+__all__ = ["registered_rules"]

@@ -1,14 +1,13 @@
-"""The three determinism / parallel-safety rules of ``repro-det``.
+"""The three determinism / parallel-safety rules of the det analyzer.
 
 These rules gate the ROADMAP's space-parallel kernel: sharding one
 topology across worker processes is only sound when (1) no state is
 shared between shards, (2) every random draw is keyed by stable entity
 identity rather than worker- or order-local data, and (3) cross-shard
 result merging is order-insensitive.  Each rule consumes the same
-assembled :class:`~repro.analysis.verify.model.Program` as
-``repro-verify`` — per-file summaries come from one shared extraction
-pass and one shared cache schema (namespaced per analyzer, see
-:mod:`repro.analysis.lint.cache`).
+assembled :class:`~repro.analysis.verify.model.Program` as verify —
+per-file summaries come from one shared extraction pass and the one
+``program`` cache (see :mod:`repro.analysis.lint.cache`).
 
 All three rules report only *provable* hazards: unknown provenance,
 unresolvable receivers, and unannotated containers stay silent, so a
@@ -38,7 +37,7 @@ _REGISTRY: Dict[str, type] = {}
 
 
 def register(rule_class: type) -> type:
-    """Register a det rule (registry separate from repro-verify's)."""
+    """Register a det rule (registry separate from verify's)."""
     if not rule_class.id:
         raise ValueError(f"rule {rule_class.__name__} has no id")
     if rule_class.id in _REGISTRY:

@@ -1,8 +1,8 @@
 """Per-file hot-path fact extraction and the joined ``HotProgram``.
 
-``repro-hot`` answers one question the other analyzers cannot: *which
+The hot analyzer answers one question the others cannot: *which
 Python costs are paid once per dispatched event?*  The verify model
-(PR 5/6) already proves where the hot paths are — the forward closure
+already proves where the hot paths are — the forward closure
 of every schedule/push site (:meth:`Program.kernel_reachable`).  This
 module extracts the complementary *cost facts* from each file:
 
@@ -10,7 +10,7 @@ module extracts the complementary *cost facts* from each file:
   closures) with loop/cold context,
 * depth-≥2 attribute chains (``a.b.c``) grouped by their first
   dereference so rules can ask "is ``a.b`` re-read per event?",
-* ``.item()`` / ``.get()`` probes with loop-invariance evidence,
+* ``.get()`` probes with loop-invariance evidence,
 * ``try/except`` shapes (caught types, whether handlers re-raise),
 * class definitions (``__slots__`` presence, bases) and class
   instantiation sites.
@@ -21,8 +21,9 @@ handler, an ``assert``, or an ``if <x>.enabled:`` tracer guard is
 never the per-event common case and must not be flagged.
 
 Everything extracted is JSON-serializable — the hot facts ride in the
-same :class:`~repro.analysis.lint.cache.AnalysisCache` payloads as the
-verify summaries, under the ``hot`` namespace.
+same ``program`` :class:`~repro.analysis.lint.cache.AnalysisCache`
+entry as the verify summary of the same file, extracted from the same
+parse.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ import ast
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.lint.core import LintError, dotted_name
+from repro.analysis.lint.core import dotted_name
 from repro.analysis.verify.model import Program, module_name_for
 
 __all__ = [
-    "hot_summary_source",
-    "hot_summary_file",
+    "hot_summary_tree",
     "HotProgram",
 ]
 
-#: Method names treated as scalar/dict probes by item-call-in-hot-loop.
-PROBE_METHODS = ("item", "get")
+#: Method names treated as dict probes by item-call-in-hot-loop.
+PROBE_METHODS = ("get",)
 
 #: Exception names whose non-re-raising handlers signal expected-case
 #: branching (EAFP where a membership test or ``.get`` is cheaper).
@@ -399,14 +399,9 @@ def _scan_class(node: ast.ClassDef, qualname: str) -> Dict[str, Any]:
     }
 
 
-def hot_summary_source(source: str, path: Path,
-                       module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's JSON-serializable hot-path facts."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    module_name = module or module_name_for(path)
+def hot_summary_tree(tree: ast.Module, path: Path) -> Dict[str, Any]:
+    """Extract one parsed file's JSON-serializable hot-path facts."""
+    module_name = module_name_for(path)
     functions: List[Dict[str, Any]] = []
     classes: List[Dict[str, Any]] = []
 
@@ -441,14 +436,6 @@ def hot_summary_source(source: str, path: Path,
     }
 
 
-def hot_summary_file(path: Path) -> Dict[str, Any]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return hot_summary_source(source, path)
-
-
 # ----------------------------------------------------------------------
 # Joined view
 # ----------------------------------------------------------------------
@@ -480,6 +467,9 @@ class HotProgram:
         for functions in self._functions_by_path.values():
             functions.sort(key=lambda fn: int(fn["lineno"]))
         self.reachable = program.kernel_reachable()
+
+    def is_suppressed(self, path: str, line: int, rule: str) -> bool:
+        return self.program.is_suppressed(path, line, rule)
 
     def hot_functions(self) -> Iterator[Tuple[str, Dict[str, Any],
                                               Dict[str, Any]]]:

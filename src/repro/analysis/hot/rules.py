@@ -1,4 +1,4 @@
-"""The five hot-path performance rules of ``repro-hot``.
+"""The five hot-path performance rules of the hot analyzer.
 
 Each rule consumes the :class:`~repro.analysis.hot.model.HotProgram` —
 hot-cost facts joined with the verify model's kernel-reachability
@@ -199,18 +199,18 @@ class AttributeChainInHotLoop(HotRule):
 
 @register
 class ItemCallInHotLoop(HotRule):
-    """``.item()`` / ``.get()`` probes that should be hoisted.
+    """``.get()`` dict probes that should be hoisted.
 
-    Scalar reads out of arrays (``.item()``) and dict probes
-    (``.get()``) cost a method call plus boxing each — a
-    loop-invariant probe inside a loop, or the same probe expression
-    evaluated twice in one per-event function, should be read once
-    into a local.
+    A dict probe costs a method call — a loop-invariant probe inside
+    a loop, or the same probe expression evaluated twice in one
+    per-event function, should be read once into a local.  (The id
+    predates this scope: the rule once also covered numpy scalar
+    ``.item()`` reads.)
     """
 
     id = "item-call-in-hot-loop"
-    description = ("loop-invariant or repeated .item()/.get() probe "
-                   "in kernel-reachable code")
+    description = ("loop-invariant or repeated .get() probe in "
+                   "kernel-reachable code")
 
     def check(self, hot: HotProgram) -> Iterator[Violation]:
         for _key, summary, function in hot.hot_functions():

@@ -1,11 +1,11 @@
-"""DES-invariant static analysis (``repro-lint``).
+"""DES-invariant static analysis (``repro-analyze``'s lint).
 
-An AST-based lint pass encoding the repo-specific invariants the
-reproduction's correctness rests on: determinism (no wall-clock, no
-ambient RNG), explicit event tie-breaking in the net layer, single-SI
-unit discipline, and tolerance-based timestamp comparison.  Run it
-with ``python -m repro.analysis [paths]`` or the ``repro-lint``
-console script; tier-1 tests gate ``src/`` on a clean run.
+An AST-based per-file lint pass encoding the repo-specific invariants
+the reproduction's correctness rests on: determinism (no wall-clock,
+no ambient RNG), single-SI unit discipline, and tolerance-based
+timestamp comparison.  Run it with ``python -m repro.analysis
+--select lint [paths]`` or the ``repro-analyze`` console script;
+tier-1 tests gate ``src/`` on a clean run.
 
 See ``docs/static_analysis.md`` for the rule catalogue, the
 ``# repro: disable=<rule>`` suppression syntax, and how to add a rule.

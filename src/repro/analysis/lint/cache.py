@@ -1,12 +1,14 @@
-"""On-disk result cache shared by the ``repro-*`` analyzers.
+"""On-disk result cache of ``repro-analyze``.
 
-Warm whole-program runs must stay inside the PR 1 budget (~0.2 s
-in-process over the full tree), which rules out re-parsing ~100 files
-per invocation.  The cache stores, per analyzed file, the lint
-findings (``kind="lint"``) or the semantic module summary used by the
-whole-program analyzers (``kind="verify"``, ``kind="det"``,
-``kind="hot"``), keyed by
-the file's ``(path, mtime_ns, size)`` stat signature.
+A warm full-tree run must not re-parse ~100 files per invocation.
+The cache stores one payload per analyzed file, keyed by the file's
+``(path, mtime_ns, size)`` stat signature, in one of two kinds:
+
+* ``lint`` — the file's lint findings;
+* ``program`` — the file's verify summary and its hot-cost facts,
+  extracted from one parse.  verify, det and hot all assemble their
+  whole-program view from these entries; their rules re-run every
+  invocation.
 
 Soundness
 ---------
@@ -15,19 +17,15 @@ analyzer implementation, so two guards make reuse safe:
 
 * the stat signature — any content change (or ``touch``) invalidates
   the entry;
-* a **per-analyzer** implementation fingerprint — a SHA-256 over the
+* a **per-kind** implementation fingerprint — a SHA-256 over the
   cache ``kind`` plus exactly the source files whose output that kind
-  caches (lint: core + lint rules, since findings are cached; verify
-  and det: core + the extraction model, since only per-file summaries
-  are cached and rules re-run every invocation), plus the running
-  Python version and a schema constant.  Editing an analyzer
-  invalidates its own caches in one stroke, and because the ``kind``
-  itself is hashed, an entry written by one analyzer can never
-  validate for another — even if a cache file is copied or a future
-  analyzer reuses a directory.  Before this namespacing, all kinds
-  shared one fingerprint over the union of every analyzer's sources,
-  so a payload cached under one analyzer's semantics was
-  indistinguishable from another's.
+  caches (lint: core + lint rules, since findings are cached;
+  program: core + the two extraction models, since only per-file
+  facts are cached), plus the running Python version and a schema
+  constant.  Editing an analyzer invalidates its own cache in one
+  stroke, and because the ``kind`` itself is hashed, an entry written
+  under one kind can never validate for the other — even if a cache
+  file is copied or renamed.
 
 The cache is strictly best-effort: unreadable, corrupt, or
 wrong-fingerprint cache files are silently discarded and rebuilt, and
@@ -62,28 +60,18 @@ _ANALYSIS_DIR = _LINT_DIR.parent
 
 #: Analyzer sources folded into each kind's fingerprint: exactly the
 #: files whose output that kind caches.  ``lint`` caches *findings*, so
-#: its rules are included; ``verify`` and ``det`` cache only per-file
-#: extraction summaries (rules re-run every invocation against the
-#: assembled program), so only the shared extraction model is hashed —
-#: editing a whole-program rule must not cold-start summary extraction.
+#: its rules are included; ``program`` caches only per-file extraction
+#: facts (rules re-run every invocation against the assembled
+#: program), so only the extraction models are hashed — editing a
+#: whole-program rule must not cold-start extraction.
 _IMPL_FILES_BY_KIND = {
     "lint": (
         _LINT_DIR / "core.py",
         _LINT_DIR / "rules.py",
     ),
-    "verify": (
+    "program": (
         _LINT_DIR / "core.py",
         _LINT_DIR / "rules.py",  # keyword tables feed dimension seeds
-        _ANALYSIS_DIR / "verify" / "model.py",
-    ),
-    "det": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",
-        _ANALYSIS_DIR / "verify" / "model.py",
-    ),
-    "hot": (
-        _LINT_DIR / "core.py",
-        _LINT_DIR / "rules.py",
         _ANALYSIS_DIR / "verify" / "model.py",
         _ANALYSIS_DIR / "hot" / "model.py",
     ),
@@ -91,12 +79,12 @@ _IMPL_FILES_BY_KIND = {
 
 
 def implementation_fingerprint(kind: str = "lint") -> str:
-    """SHA-256 over one analyzer's implementation + interpreter version.
+    """SHA-256 over one kind's implementation + interpreter version.
 
-    The ``kind`` string itself is hashed, so two analyzers whose
-    implementation files happen to coincide (verify and det share the
-    extraction model) still produce distinct fingerprints — a cache
-    file can only ever validate for the analyzer that wrote it.
+    The ``kind`` string itself is hashed, so two kinds whose
+    implementation files happen to coincide still produce distinct
+    fingerprints — a cache file can only ever validate for the kind
+    that wrote it.
     """
     digest = hashlib.sha256()
     digest.update(f"schema={_SCHEMA_VERSION}".encode())

@@ -30,9 +30,20 @@ from __future__ import annotations
 import ast
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Type
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+)
+
+from repro.analysis.lint.cache import AnalysisCache
 
 __all__ = [
     "Violation",
@@ -45,6 +56,8 @@ __all__ = [
     "analyze_file",
     "analyze_paths",
     "iter_python_files",
+    "read_source",
+    "parse_source",
     "dotted_name",
 ]
 
@@ -74,16 +87,12 @@ class FileContext:
         self.path = path
         self.source = source
         self.tree = tree
-        #: Path components, used for path-scoped rules (e.g. the
-        #: ``net``-layer tie-break rule) and exemptions (``sim/rng.py``).
+        #: Path components, used for path-scoped exemptions
+        #: (``sim/rng.py``).
         self.parts: Tuple[str, ...] = path.parts
 
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
-
-    def is_under(self, directory: str) -> bool:
-        """True when ``directory`` is a component of the file's path."""
-        return directory in self.parts
 
     def is_file(self, *tail: str) -> bool:
         """True when the path ends with the given components."""
@@ -169,14 +178,24 @@ def dotted_name(node: ast.AST) -> str:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
+def read_source(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LintError(f"{path}: unreadable: {exc}") from exc
+
+
+def parse_source(source: str, path: Path) -> ast.Module:
+    try:
+        return ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        raise LintError(f"{path}: not valid Python: {exc}") from exc
+
+
 def analyze_source(source: str, path: Path,
                    rules: Iterable[Rule]) -> List[Violation]:
     """Run ``rules`` over one source string, honouring suppressions."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    context = FileContext(path, source, tree)
+    context = FileContext(path, source, parse_source(source, path))
     disabled = suppressions(source)
     findings: List[Violation] = []
     for rule in rules:
@@ -188,11 +207,7 @@ def analyze_source(source: str, path: Path,
 
 
 def analyze_file(path: Path, rules: Iterable[Rule]) -> List[Violation]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return analyze_source(source, path, rules)
+    return analyze_source(read_source(path), path, rules)
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -210,11 +225,26 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def analyze_paths(paths: Iterable[Path],
-                  rules: Iterable[Rule]) -> List[Violation]:
-    """Analyze every ``*.py`` under ``paths`` with the given rules."""
+def analyze_paths(paths: Iterable[Path], rules: Iterable[Rule],
+                  cache: Optional[AnalysisCache] = None
+                  ) -> List[Violation]:
+    """Analyze every ``*.py`` under ``paths`` with the given rules.
+
+    ``cache`` replays and records per-file findings.  It must only
+    ever see full-rule-set runs: an entry written by a rule subset
+    would later replay as a stale, partial result.
+    """
     rule_list = list(rules)
     findings: List[Violation] = []
     for path in iter_python_files(paths):
-        findings.extend(analyze_file(path, rule_list))
+        payload = cache.get(path) if cache is not None else None
+        if payload is not None and "violations" in payload:
+            findings.extend(Violation(**item)
+                            for item in payload["violations"])
+            continue
+        file_findings = analyze_file(path, rule_list)
+        if cache is not None:
+            cache.put(path, {"violations": [
+                asdict(v) for v in file_findings]})
+        findings.extend(file_findings)
     return sorted(findings)

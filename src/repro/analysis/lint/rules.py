@@ -6,9 +6,6 @@ and fix guidance per rule):
 
 * determinism — wall-clock reads and ambient RNG state make runs
   unrepeatable (``no-wallclock``, ``no-ambient-random``);
-* tie-breaking — EDF-style disciplines are sensitive to event order at
-  identical instants, so net-layer schedule sites must state their
-  tie-break (``untiebroken-event``);
 * unit and time arithmetic — raw literals bypass the single SI unit
   system, and ``==`` on derived timestamps is float roulette
   (``raw-unit-literal``, ``float-time-equality``);
@@ -38,7 +35,6 @@ __all__ = [
     "NoAmbientRandom",
     "FloatTimeEquality",
     "RawUnitLiteral",
-    "UntiebrokenEvent",
     "MutableDefaultArg",
     "UnguardedTraceEmit",
 ]
@@ -287,54 +283,6 @@ class RawUnitLiteral(Rule):
                 context, node.args[0],
                 f"bare literal delay {value:g} passed to {callee}(); "
                 f"state the unit with seconds()/ms()")
-
-
-@register
-class UntiebrokenEvent(Rule):
-    """Net-, sched-, and fault-layer schedule sites must state their
-    tie-break.
-
-    The kernel orders simultaneous events by ``(priority, insertion
-    seq)`` and the data path's correctness depends on which of two
-    same-instant events runs first (e.g. a packet's arrival at a node
-    versus that node's transmitter looking for work, or a regulator
-    release versus a transmission completion).  Fault timers are the
-    sharpest case: a link-down that ties with a packet event must win
-    (``PRIORITY_FAULT``) or runs stop being bit-identical across
-    shards.  An implicit default priority at a ``net/``, ``sched/``,
-    or ``faults/`` call site means nobody decided — the tie order is
-    load-bearing, so write it down.
-    """
-
-    id = "untiebroken-event"
-    description = ("schedule()/schedule_at() in repro/net/, "
-                   "repro/sched/, or repro/faults/ without an "
-                   "explicit priority= tie-break")
-
-    #: Path components whose schedule sites must pin the tie order:
-    #: the network data path, every service discipline (regulator
-    #: releases and frame boundaries race packet events), and the
-    #: fault injector (fault timers race everything).
-    _SCOPES: Tuple[str, ...] = ("net", "sched", "faults")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        if not any(context.is_under(scope) for scope in self._SCOPES):
-            return
-        for node in context.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("schedule", "schedule_at")):
-                continue
-            if any(kw.arg == "priority" for kw in node.keywords):
-                continue
-            yield self.violation(
-                context, node,
-                f"{func.attr}() without an explicit priority=; event "
-                f"tie order is load-bearing in the net and sched "
-                f"layers — state the tie-break (PRIORITY_NORMAL if "
-                f"ties are benign)")
 
 
 @register

@@ -3,8 +3,7 @@
 One SARIF *log* holds one *run* per analyzer, so ``repro-analyze
 --format sarif`` uploads lint, verify, det, and hot findings as a
 single artifact that code-scanning UIs (GitHub's ``upload-sarif``
-action among them) ingest directly.  The single-analyzer CLIs emit a
-one-run log through the same renderer.
+action among them) ingest directly.
 
 Only the schema subset those consumers actually read is emitted:
 tool name + rule metadata, and per-result rule id, message, and

@@ -3,11 +3,11 @@
 Two coupled layers (see :doc:`docs/static_analysis` and
 :doc:`docs/sanitizer`):
 
-* **Static** — :mod:`.model` extracts cached per-file summaries and
-  joins them into a :class:`~repro.analysis.verify.model.Program`
-  (symbol table, call graph, dimension inference); :mod:`.rules` runs
-  four interprocedural rules over it; :mod:`.cli` is the
-  ``repro-verify`` entry point.
+* **Static** — :mod:`.model` extracts per-file summaries and joins
+  them into a :class:`~repro.analysis.verify.model.Program` (symbol
+  table, call graph, dimension inference); :mod:`.rules` runs four
+  interprocedural rules over it.  ``repro-analyze``
+  (:mod:`repro.analysis.front`) builds, caches and runs them.
 * **Runtime** — :mod:`.sanitizer` installs conservation-law checkers
   into a live simulation (``--sanitize`` / ``REPRO_SANITIZE=1``),
   verifying per-node packet conservation, reservation sums, LiT label
@@ -19,20 +19,12 @@ the sanitizer (which touches simulator types) is imported lazily by
 :class:`repro.net.network.Network` when enabled.
 """
 
-from repro.analysis.verify.core import (
-    analyze_program,
-    build_program,
-    default_rules,
-)
-from repro.analysis.verify.model import Program, summarize_file
+from repro.analysis.verify.model import Program, summarize_tree
 from repro.analysis.verify.rules import ProgramRule, registered_rules
 
 __all__ = [
     "Program",
     "ProgramRule",
-    "analyze_program",
-    "build_program",
-    "default_rules",
     "registered_rules",
-    "summarize_file",
+    "summarize_tree",
 ]

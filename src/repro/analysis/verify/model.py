@@ -1,6 +1,6 @@
-"""The whole-program semantic model behind ``repro-verify``.
+"""The whole-program semantic model behind the verify analyzer.
 
-PR 1's linter reasons one file at a time; the rules in
+The lint pass reasons one file at a time; the rules in
 :mod:`repro.analysis.verify.rules` need facts that cross function and
 module boundaries: *does this loop body eventually reach the event
 queue?*, *is this constant a time or a rate?*, *does the exception
@@ -35,7 +35,7 @@ import ast
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.analysis.lint.core import LintError, suppressions
+from repro.analysis.lint.core import suppressions
 from repro.analysis.lint.rules import (
     _LENGTH_KEYWORDS,
     _RATE_KEYWORDS,
@@ -52,8 +52,7 @@ __all__ = [
     "call_name",
     "dim_name",
     "module_name_for",
-    "summarize_file",
-    "summarize_source",
+    "summarize_tree",
 ]
 
 # ----------------------------------------------------------------------
@@ -100,7 +99,7 @@ RESERVE_NAMES = ("admit", "reserve")
 RELEASE_NAME = "release"
 
 #: Method names that mutate their receiver in place.  Used by the
-#: determinism analyzer (``repro-det``) to spot writes to shared
+#: determinism analyzer (det) to spot writes to shared
 #: module-level state: ``REGISTRY.append(...)`` on a module global is a
 #: cross-shard hazard even though no assignment statement appears.
 MUTATOR_NAMES = frozenset((
@@ -955,17 +954,6 @@ class _FunctionScanner:
                      if _concrete(spec) is not None]
             if known and all(dim == known[0] for dim in known):
                 return _as_spec(known[0])
-        # Array-typed constants: an array built by
-        # numpy.full(shape, fill) holds the fill value's dimension in
-        # every element, and ndarray.item(index) reads one element
-        # back out.  Propagating fill through both keeps the dimension
-        # algebra connected across the array round-trip instead of
-        # going dark at the store.
-        if last == "full" and len(arg_specs) >= 2:
-            return arg_specs[1]
-        if last == "item" and isinstance(node.func, ast.Attribute) \
-                and len(node.args) <= 1:
-            return self._expr(node.func.value)
         return None
 
     # -- result --------------------------------------------------------
@@ -1020,14 +1008,10 @@ def _scan_class_attrs(ctx: _ModuleContext, node: ast.ClassDef,
                 })
 
 
-def summarize_source(source: str, path: Path,
-                     module: Optional[str] = None) -> Dict[str, Any]:
-    """Extract one file's JSON-serializable semantic summary."""
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise LintError(f"{path}: not valid Python: {exc}") from exc
-    module_name = module or module_name_for(path)
+def summarize_tree(tree: ast.Module, source: str,
+                   path: Path) -> Dict[str, Any]:
+    """Extract one parsed file's JSON-serializable semantic summary."""
+    module_name = module_name_for(path)
     ctx = _ModuleContext(module_name)
 
     # Pass 1: imports, class names, module constants, name kinds.
@@ -1108,14 +1092,6 @@ def summarize_source(source: str, path: Path,
         "suppressions": {str(line): sorted(rules)
                          for line, rules in disabled.items()},
     }
-
-
-def summarize_file(path: Path) -> Dict[str, Any]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"{path}: unreadable: {exc}") from exc
-    return summarize_source(source, path)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The four interprocedural rules of ``repro-verify``.
+"""The four interprocedural rules of the verify analyzer.
 
 Each rule consumes the assembled :class:`~repro.analysis.verify.model.
-Program` rather than a single file, so it can answer questions PR 1's
+Program` rather than a single file, so it can answer questions lint's
 per-file walks could not: *does this loop body reach the event queue
 three calls deep?*, *is that module constant a rate?*, *does every
 caller of this admission helper also release?*
@@ -144,12 +144,17 @@ class DimensionMismatch(ProgramRule):
 class UntiebrokenEventTransitive(ProgramRule):
     """Tree-wide: any ``schedule``/``schedule_at`` without ``priority=``.
 
-    Replaces (supersets) the per-directory ``untiebroken-event`` lint
-    rule: with the whole call graph available there is no reason to
-    scope the check to ``net``/``sched``/``faults`` — *every* event
-    scheduled without an explicit priority falls back to
-    ``PRIORITY_NORMAL`` implicitly, and a later re-ordering of default
-    priorities would silently shift its tie-break class.  The message
+    The kernel orders simultaneous events by ``(priority, insertion
+    seq)``, and the data path's correctness depends on which of two
+    same-instant events runs first: a packet's arrival at a node
+    versus that node's transmitter looking for work, a regulator
+    release versus a transmission completion, a link-down fault timer
+    versus a packet event (which must win, or sharded runs stop being
+    bit-identical).  An event scheduled without an explicit priority
+    falls back to ``PRIORITY_NORMAL`` implicitly — nobody decided —
+    and a later re-ordering of default priorities would silently
+    shift its tie-break class.  The check covers every directory (it
+    absorbed lint's per-directory ``untiebroken-event``); the message
     names how many distinct functions reach the site so reviewers can
     judge the blast radius.
     """

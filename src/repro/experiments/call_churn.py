@@ -121,6 +121,7 @@ class _ChurnDriver:
         self._holding = ExponentialSampler(
             streams.stream("call-holding"), mean_holding)
         self._next_id = 0
+        #: Live calls: call id -> (record, session, source).
         self._sources = {}
 
     def start(self) -> None:
@@ -151,7 +152,7 @@ class _ChurnDriver:
                                  spacing=ms(13.25), mean_on=ms(352),
                                  mean_off=ms(650))
             source.start()
-            self._sources[call_id] = (session, source)
+            self._sources[call_id] = (record, session, source)
             sim.schedule(self._holding.sample(), self._call_ends,
                          call_id, priority=PRIORITY_NORMAL)
         sim.schedule(self._arrival_gap.sample(), self._call_arrives,
@@ -159,11 +160,9 @@ class _ChurnDriver:
 
     def _call_ends(self, call_id: int) -> None:
         network = self.network
-        session, source = self._sources.pop(call_id)
+        record, session, source = self._sources.pop(call_id)
         source.stop()
         self.controller.release(session)
-        record = next(c for c in self.result.calls
-                      if c.call_id == call_id)
         self._harvest(record, session)
         record.ended_at = network.sim.now
         # Tear the call down immediately, even with packets still in
@@ -178,9 +177,8 @@ class _ChurnDriver:
 
     def finish(self) -> None:
         """Harvest calls still in progress at the horizon."""
-        for call_id, (session, source) in list(self._sources.items()):
-            record = next(c for c in self.result.calls
-                          if c.call_id == call_id)
+        for call_id in sorted(self._sources):
+            record, session, _source = self._sources[call_id]
             self._harvest(record, session)
 
 

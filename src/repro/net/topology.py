@@ -81,7 +81,7 @@ class PaperTopology:
     sim:
         Pre-built simulator for the network to run on; ``None`` (the
         default) lets :class:`Network` create its own.  The
-        schedule-perturbation differ (``repro-det --perturb``) injects
+        schedule-perturbation differ (``repro-analyze --perturb``) injects
         an instrumented kernel through this.
     """
 

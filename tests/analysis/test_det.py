@@ -1,4 +1,4 @@
-"""Determinism analyzer (``repro-det``): static rules and the differ.
+"""Determinism analyzer (det): static rules and the differ.
 
 Each rule gets a *bad* fixture (exact rule ids and line numbers) and a
 *clean* twin (silence), including a genuinely cross-module shared-state
@@ -19,13 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.det import (
-    analyze_determinism,
-    build_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.det.cli import main
+from repro.analysis.det import registered_rules
 from repro.analysis.det.perturb import (
     Fig07Scenario,
     RunResult,
@@ -35,6 +29,7 @@ from repro.analysis.det.perturb import (
     normalized_trace,
     perturb_scenario,
 )
+from repro.analysis.front import build_hot_program, main, run_suite
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -48,11 +43,20 @@ ALL_RULE_IDS = {
 }
 
 
+def analyze_determinism(paths, rule_ids=None):
+    """det's findings over ``paths`` (default: every det rule)."""
+    selection = {"det": rule_ids or sorted(ALL_RULE_IDS)}
+    return run_suite(paths, selection)["det"]
+
+
 def findings(target: str, rule_id: str):
     """(rule, line) pairs from one rule over one fixture file/package."""
-    rule = registered_rules()[rule_id]()
     return [(v.rule, v.line)
-            for v in analyze_determinism([FIXTURES / target], [rule])]
+            for v in analyze_determinism([FIXTURES / target], [rule_id])]
+
+
+def build_program(paths):
+    return build_hot_program(paths).program
 
 
 def load_fixture_module(name: str):
@@ -70,7 +74,6 @@ def test_registry_has_the_three_det_rules():
     for rule_id, rule_class in registry.items():
         assert rule_class.id == rule_id
         assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
 
 
 # ----------------------------------------------------------------------
@@ -315,21 +318,22 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     bad = str(FIXTURES / "shared_state_bad")
     ok = str(FIXTURES / "shared_state_ok.py")
 
-    assert main([bad, "--cache-dir", cache_dir]) == 1
+    assert main([bad, "--select", "det", "--cache-dir", cache_dir]) == 1
     assert "shared-mutable-state" in capsys.readouterr().out
 
-    assert main([ok, "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "det", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--format", "json", "--no-cache"]) == 1
+    assert main([bad, "--select", "det", "--format", "json",
+                 "--no-cache"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 3
-    assert payload["summary"]["by_rule"] == {"shared-mutable-state": 3}
+    assert [v["rule"] for v in payload["findings"]["det"]] == \
+        ["shared-mutable-state"] * 3
 
 
 def test_cli_select_runs_only_the_named_rule(capsys):
     target = str(FIXTURES / "seeded_bug.py")
-    assert main([target, "--select", "rng-stream-discipline",
+    assert main([target, "--select", "det:rng-stream-discipline",
                  "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "rng-stream-discipline" in out
@@ -340,17 +344,18 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"det:{rule_id}:" in out
 
 
 def test_cli_select_unknown_rule_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES / "rng_ok.py"), "--select", "no-such-rule"])
+        main([str(FIXTURES / "rng_ok.py"), "--select",
+              "det:no-such-rule"])
     assert excinfo.value.code == 2
 
 
 def test_cli_perturb_writes_a_deterministic_bench_record(tmp_path, capsys):
-    assert main(["--perturb", "--scenario", "fig07",
+    assert main(["--perturb", "fig07",
                  "--modes", "registration", "--horizon", "0.05",
                  "--rounds", "1", "--bench-dir", str(tmp_path)]) == 0
     assert "deterministic under registration" in capsys.readouterr().out

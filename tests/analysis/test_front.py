@@ -1,10 +1,12 @@
-"""``repro-analyze``: the unified front door over the four analyzers.
+"""``repro-analyze``: the one entry point to the four analyzers.
 
 The contracts under test: all four analyzers run by default and their
 exit codes merge; ``--select`` filters at analyzer and analyzer:rule
-grain; the whole-program analyzers share one assembled Program (so a
-front-door run populates the verify/hot cache namespaces but never a
-det one); and one SARIF log carries one run per analyzer.
+grain; the whole-program analyzers share one assembled program built
+from one parse per file (so a run leaves exactly the ``lint`` and
+``program`` cache files, and a warm run extracts nothing); the
+dynamic modes reject contradictory flags; and one SARIF log carries
+one run per analyzer.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ def test_exit_codes_merge_across_analyzers(tmp_path, capsys):
     assert main([str(HOT_FIXTURES / "unslotted_bad.py"),
                  "--no-cache"]) == 1
     assert "unslotted-hot-class" in capsys.readouterr().out
+
+
+def test_unparsable_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "broken.py"
+    target.write_text("def f(:\n")
+    assert main([str(target), "--no-cache"]) == 2
+    assert "not valid Python" in capsys.readouterr().err
 
 
 def test_select_analyzer_grain(tmp_path, capsys):
@@ -88,31 +97,35 @@ def test_shared_program_populates_only_its_cache_kinds(tmp_path,
     cache_dir = tmp_path / "cache"
     assert main([str(target), "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
-    # lint caches findings; verify holds the one shared summary
-    # extraction; hot holds the joined summary+hot payload.  det rides
-    # the shared Program and never opens its own namespace.
-    assert (cache_dir / "lint.json").exists()
-    assert (cache_dir / "verify.json").exists()
-    assert (cache_dir / "hot.json").exists()
-    assert not (cache_dir / "det.json").exists()
+    # lint caches findings; program holds the one shared extraction
+    # (verify summary + hot facts) that verify, det and hot all read.
+    assert sorted(path.name for path in cache_dir.iterdir()) == [
+        "lint.json", "program.json"]
+
+
+def _count_parses(monkeypatch):
+    """Record every file parse, lint's and the program extraction's."""
+    import repro.analysis.front as front
+    import repro.analysis.lint.core as lint_core
+
+    calls = []
+    real = lint_core.parse_source
+
+    def counting(source, path):
+        calls.append(path)
+        return real(source, path)
+
+    monkeypatch.setattr(lint_core, "parse_source", counting)
+    monkeypatch.setattr(front, "parse_source", counting)
+    return calls
 
 
 def test_front_door_reuses_the_verify_cache(tmp_path, monkeypatch,
                                             capsys):
-    import repro.analysis.verify.core as verify_core
-
     target = tmp_path / "ok.py"
     target.write_text(CLEAN)
     cache_dir = tmp_path / "cache"
-
-    calls = []
-    real = verify_core.summarize_file
-
-    def counting(path):
-        calls.append(path)
-        return real(path)
-
-    monkeypatch.setattr(verify_core, "summarize_file", counting)
+    calls = _count_parses(monkeypatch)
 
     assert main([str(target), "--cache-dir", str(cache_dir),
                  "--select", "verify", "--select", "det"]) == 0
@@ -123,7 +136,36 @@ def test_front_door_reuses_the_verify_cache(tmp_path, monkeypatch,
     assert main([str(target), "--cache-dir", str(cache_dir),
                  "--select", "verify", "--select", "det"]) == 0
     capsys.readouterr()
-    assert calls == []  # warm: the verify namespace serves it
+    assert calls == []  # warm: the program cache serves it
+
+
+def test_warm_full_run_skips_all_extraction(tmp_path, monkeypatch,
+                                           capsys):
+    (tmp_path / "ok.py").write_text(CLEAN)
+    (tmp_path / "lint_bad.py").write_text(WALLCLOCK_BAD)
+    cache_dir = tmp_path / "cache"
+    calls = _count_parses(monkeypatch)
+
+    assert main([str(tmp_path), "--cache-dir", str(cache_dir)]) == 1
+    cold_out = capsys.readouterr().out
+    assert len(calls) == 4  # two files, once for lint, once for program
+
+    calls.clear()
+    assert main([str(tmp_path), "--cache-dir", str(cache_dir)]) == 1
+    assert calls == []
+    assert capsys.readouterr().out == cold_out  # findings replayed
+
+
+def test_dynamic_modes_reject_contradictory_flags(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--perturb", "fig07", "--profile", "fig07"])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--budget", "5", str(HOT_FIXTURES)])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--perturb", "no-such-scenario"])
+    assert excinfo.value.code == 2
 
 
 def test_sarif_log_has_one_run_per_analyzer(tmp_path, capsys):

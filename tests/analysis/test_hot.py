@@ -1,4 +1,4 @@
-"""Hot-path analyzer (``repro-hot``): static rules and the profiler.
+"""Hot-path analyzer (hot): static rules and the profiler.
 
 Each rule gets a *bad* fixture (exact rule ids and line numbers) and a
 *clean* twin (silence).  Reachability is the scoping contract under
@@ -21,13 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.hot import (
-    analyze_hot,
-    build_hot_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.hot.cli import main
+from repro.analysis.front import build_hot_program, main, run_suite
+from repro.analysis.hot import registered_rules
 from repro.analysis.hot.profile import (
     HotnessIndex,
     ProfileScenario,
@@ -47,12 +42,17 @@ ALL_RULE_IDS = {
 }
 
 
+def analyze_hot(paths, rule_ids=None, cache_dir=None):
+    """hot's findings over ``paths`` (default: every hot rule)."""
+    selection = {"hot": rule_ids or sorted(ALL_RULE_IDS)}
+    return run_suite(paths, selection, cache_dir)["hot"]
+
+
 def findings(target: str, rule_id: str = None):
     """(rule, line) pairs from the analyzer over one fixture file."""
-    rules = None if rule_id is None \
-        else [registered_rules()[rule_id]()]
+    rule_ids = None if rule_id is None else [rule_id]
     return [(v.rule, v.line)
-            for v in analyze_hot([FIXTURES / target], rules)]
+            for v in analyze_hot([FIXTURES / target], rule_ids)]
 
 
 def load_fixture_module(name: str):
@@ -70,7 +70,6 @@ def test_registry_has_the_five_hot_rules():
     for rule_id, rule_class in registry.items():
         assert rule_class.id == rule_id
         assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
 
 
 # ----------------------------------------------------------------------
@@ -150,51 +149,55 @@ def test_findings_are_sorted_and_stable():
 
 
 # ----------------------------------------------------------------------
-# The shared hot cache
+# The shared program cache
 # ----------------------------------------------------------------------
 def test_warm_cache_skips_extraction(tmp_path, monkeypatch):
-    import repro.analysis.hot.core as hot_core
-    from repro.analysis.lint.cache import AnalysisCache
+    import repro.analysis.front as front
 
     target = tmp_path / "mod.py"
     target.write_text(
         (FIXTURES / "unslotted_bad.py").read_text())
 
     calls = []
-    real = hot_core.hot_summary_source
+    real = front.hot_summary_tree
 
-    def counting(source, path, module=None):
+    def counting(tree, path):
         calls.append(path)
-        return real(source, path, module)
+        return real(tree, path)
 
-    monkeypatch.setattr(hot_core, "hot_summary_source", counting)
+    monkeypatch.setattr(front, "hot_summary_tree", counting)
 
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    cold = analyze_hot([target], cache=cache)
-    cache.save()
+    cache_dir = tmp_path / "cache"
+    cold = analyze_hot([target], cache_dir=cache_dir)
     assert len(cold) == 1 and len(calls) == 1
 
     calls.clear()
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    warm = analyze_hot([target], cache=cache)
+    warm = analyze_hot([target], cache_dir=cache_dir)
     assert warm == cold
     assert calls == []  # extraction fully skipped
 
     target.write_text(target.read_text() + "\n# touched\n")
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
-    assert analyze_hot([target], cache=cache) == cold
+    assert analyze_hot([target], cache_dir=cache_dir) == cold
     assert len(calls) == 1  # stat change re-extracts
 
 
-def test_shared_program_parameter_skips_verify_extraction():
-    from repro.analysis.verify.core import build_program
+def test_shared_program_parameter_skips_verify_extraction(monkeypatch):
+    # One parse per file feeds verify, det and hot: no analyzer runs
+    # an extraction of its own.
+    import repro.analysis.front as front
 
-    program = build_program([FIXTURES / "chain_bad.py"])
-    hot = build_hot_program([FIXTURES / "chain_bad.py"],
-                            program=program)
-    assert hot.program is program
-    rows = analyze_hot([FIXTURES / "chain_bad.py"], program=program)
-    assert [(v.rule, v.line) for v in rows] == [
+    calls = []
+    real = front.parse_source
+
+    def counting(source, path):
+        calls.append(path)
+        return real(source, path)
+
+    monkeypatch.setattr(front, "parse_source", counting)
+    target = FIXTURES / "chain_bad.py"
+    results = run_suite([target])  # verify, det and hot all run
+    assert calls == [target]
+    assert [(v.rule, v.line) for v in results["hot"]] == [
         ("attribute-chain-in-hot-loop", 5),
         ("attribute-chain-in-hot-loop", 11),
     ]
@@ -204,23 +207,25 @@ def test_shared_program_parameter_skips_verify_extraction():
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_exit_codes_and_text_output(capsys):
-    assert main([str(FIXTURES / "alloc_ok.py")]) == 0
+    assert main([str(FIXTURES / "alloc_ok.py"), "--select", "hot",
+                 "--no-cache"]) == 0
     assert "clean" in capsys.readouterr().out
-    assert main([str(FIXTURES / "alloc_bad.py")]) == 1
+    assert main([str(FIXTURES / "alloc_bad.py"), "--select", "hot",
+                 "--no-cache"]) == 1
     out = capsys.readouterr().out
     assert "allocation-in-hot-path" in out
 
 
 def test_cli_json_format(capsys):
-    assert main([str(FIXTURES / "unslotted_bad.py"),
-                 "--format", "json"]) == 1
+    assert main([str(FIXTURES / "unslotted_bad.py"), "--select", "hot",
+                 "--no-cache", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["violations"][0]["rule"] == "unslotted-hot-class"
+    assert payload["findings"]["hot"][0]["rule"] == "unslotted-hot-class"
 
 
 def test_cli_sarif_format(capsys):
-    assert main([str(FIXTURES / "unslotted_bad.py"),
-                 "--format", "sarif"]) == 1
+    assert main([str(FIXTURES / "unslotted_bad.py"), "--select", "hot",
+                 "--no-cache", "--format", "sarif"]) == 1
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
     (run,) = log["runs"]
@@ -233,26 +238,28 @@ def test_cli_sarif_format(capsys):
 
 
 def test_cli_select_runs_one_rule(capsys):
-    assert main([str(FIXTURES / "alloc_bad.py"), "--select",
-                 "unslotted-hot-class"]) == 0
+    assert main([str(FIXTURES / "alloc_bad.py"), "--no-cache",
+                 "--select", "hot:unslotted-hot-class"]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit):
-        main(["--select", "no-such-rule", str(FIXTURES)])
+        main(["--select", "hot:no-such-rule", str(FIXTURES)])
 
 
 def test_cli_list_rules_and_scenarios(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert all(rule_id in out for rule_id in ALL_RULE_IDS)
+    assert all(f"hot:{rule_id}:" in out for rule_id in ALL_RULE_IDS)
     assert main(["--list-scenarios"]) == 0
     out = capsys.readouterr().out
     for name in ("fig07", "fault_sweep", "heavy_traffic"):
-        assert name in out
+        assert f"profile:{name}:" in out
+    assert "perturb:fig07:" in out
 
 
 def test_cli_budget_requires_profile():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["--budget", "5", str(FIXTURES)])
+    assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.analysis.lint import (
     render_json,
     render_text,
 )
-from repro.analysis.lint.cli import main
+from repro.analysis.front import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis"
 
@@ -33,7 +33,6 @@ ALL_RULE_IDS = {
     "no-ambient-random",
     "float-time-equality",
     "raw-unit-literal",
-    "untiebroken-event",
     "mutable-default-arg",
     "unguarded-trace-emit",
 }
@@ -45,7 +44,7 @@ def findings(fixture: str, rule_id: str):
     return [(v.rule, v.line) for v in analyze_file(FIXTURES / fixture, [rule])]
 
 
-def test_registry_has_the_seven_shipped_rules():
+def test_registry_has_the_six_shipped_rules():
     registry = registered_rules()
     assert ALL_RULE_IDS <= set(registry)
     for rule_id, rule_class in registry.items():
@@ -111,35 +110,6 @@ def test_raw_unit_literal_positive():
 
 def test_raw_unit_literal_negative():
     assert findings("raw_unit_literal_ok.py", "raw-unit-literal") == []
-
-
-def test_untiebroken_event_positive():
-    assert findings("net/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule(...)
-        ("untiebroken-event", 6),  # schedule_at(...)
-    ]
-
-
-def test_untiebroken_event_negative_with_priority():
-    assert findings("net/untiebroken_ok.py", "untiebroken-event") == []
-
-
-def test_untiebroken_event_covers_sched_layer():
-    assert findings("sched/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule_at(...)
-    ]
-
-
-def test_untiebroken_event_covers_faults_layer():
-    assert findings("faults/untiebroken_bad.py", "untiebroken-event") == [
-        ("untiebroken-event", 5),  # schedule_at(down_at, ...)
-        ("untiebroken-event", 6),  # schedule_at(up_at, ...)
-    ]
-
-
-def test_untiebroken_event_is_scoped_to_net_sched_and_faults():
-    assert findings("untiebroken_outside_net_ok.py",
-                    "untiebroken-event") == []
 
 
 def test_mutable_default_positive():
@@ -219,27 +189,29 @@ def test_json_reporter_round_trips():
 # CLI behaviour
 # ----------------------------------------------------------------------
 def test_cli_exits_nonzero_on_fixtures(capsys):
-    status = main([str(FIXTURES / "no_wallclock_bad.py")])
+    status = main(["--select", "lint", "--no-cache",
+                   str(FIXTURES / "no_wallclock_bad.py")])
     out = capsys.readouterr().out
     assert status == 1
     assert "no_wallclock_bad.py:8:" in out
 
 
 def test_cli_exits_zero_on_clean_file(capsys):
-    status = main([str(FIXTURES / "no_wallclock_ok.py")])
+    status = main(["--select", "lint", "--no-cache",
+                   str(FIXTURES / "no_wallclock_ok.py")])
     assert status == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_cli_select_limits_rules(capsys):
-    status = main(["--select", "mutable-default-arg",
+    status = main(["--select", "lint:mutable-default-arg", "--no-cache",
                    str(FIXTURES / "no_wallclock_bad.py")])
     assert status == 0  # the wallclock fixture has no mutable defaults
 
 
 def test_cli_rejects_unknown_rule():
     with pytest.raises(SystemExit) as excinfo:
-        main(["--select", "no-such-rule", str(FIXTURES)])
+        main(["--select", "lint:no-such-rule", str(FIXTURES)])
     assert excinfo.value.code == 2
 
 
@@ -247,15 +219,16 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"lint:{rule_id}:" in out
 
 
 def test_cli_json_format(capsys):
-    status = main(["--format", "json",
+    status = main(["--select", "lint", "--no-cache", "--format", "json",
                    str(FIXTURES / "mutable_default_bad.py")])
     assert status == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["by_rule"] == {"mutable-default-arg": 3}
+    assert [v["rule"] for v in payload["findings"]["lint"]] == \
+        ["mutable-default-arg"] * 3
 
 
 def test_module_entry_point_runs():

@@ -1,4 +1,4 @@
-"""Result cache and ``--changed`` fast paths of the analyzers.
+"""Result cache and ``--changed`` fast paths of ``repro-analyze``.
 
 The cache contract under test: a warm run re-analyzes *nothing*; any
 stat change (content edit, ``touch``) or analyzer-implementation edit
@@ -14,7 +14,8 @@ import subprocess
 
 import pytest
 
-import repro.analysis.lint.cli as lint_cli
+import repro.analysis.lint.core as lint_core
+from repro.analysis.front import main
 from repro.analysis.lint.cache import AnalysisCache, implementation_fingerprint
 from repro.analysis.lint.changed import (
     GitError,
@@ -68,99 +69,98 @@ def test_fingerprint_is_stable_within_a_process():
 
 
 def test_fingerprint_is_namespaced_per_analyzer():
-    # Each analyzer hashes its own implementation set *and* the kind
-    # string, so no two kinds can ever share a fingerprint — verify and
-    # det deliberately cache the same summary schema from the same
-    # extraction model, and before per-kind namespacing a cache file
-    # written by one could validate for the other.
+    # Each kind hashes its own implementation set *and* the kind
+    # string, so the two kinds can never share a fingerprint and a
+    # cache file written under one can never validate for the other.
     prints = {kind: implementation_fingerprint(kind)
-              for kind in ("lint", "verify", "det", "hot")}
-    assert len(set(prints.values())) == 4
+              for kind in ("lint", "program")}
+    assert len(set(prints.values())) == 2
 
 
 def test_hot_only_implementation_edit_invalidates_only_hot(
         tmp_path, monkeypatch):
-    # The hot analyzer's fingerprint set is the det set plus
-    # hot/model.py.  Editing the hot-only file must roll the "hot"
-    # fingerprint while leaving "det" untouched — and an edit to a
-    # shared file must roll both.
+    # The program fingerprint set (where the hot facts are cached) is
+    # the lint set plus the extraction models.  Editing a hot-model
+    # file must roll the "program" fingerprint while leaving "lint"
+    # untouched — and an edit to a shared file must roll both.
     import repro.analysis.lint.cache as cache_mod
 
-    shared = tmp_path / "shared_model.py"
-    hot_only = tmp_path / "hot_model.py"
+    shared = tmp_path / "shared_core.py"
+    program_only = tmp_path / "hot_model.py"
     shared.write_text("SHARED = 1\n")
-    hot_only.write_text("HOT = 1\n")
+    program_only.write_text("HOT = 1\n")
     monkeypatch.setattr(cache_mod, "_IMPL_FILES_BY_KIND", {
-        "det": (shared,),
-        "hot": (shared, hot_only),
+        "lint": (shared,),
+        "program": (shared, program_only),
     })
 
-    det_before = implementation_fingerprint("det")
-    hot_before = implementation_fingerprint("hot")
-    hot_only.write_text("HOT = 2\n")
-    assert implementation_fingerprint("det") == det_before
-    assert implementation_fingerprint("hot") != hot_before
+    lint_before = implementation_fingerprint("lint")
+    program_before = implementation_fingerprint("program")
+    program_only.write_text("HOT = 2\n")
+    assert implementation_fingerprint("lint") == lint_before
+    assert implementation_fingerprint("program") != program_before
 
     shared.write_text("SHARED = 2\n")
-    assert implementation_fingerprint("det") != det_before
+    assert implementation_fingerprint("lint") != lint_before
 
 
 def test_hot_cache_entry_invalidated_by_fingerprint_roll(
         tmp_path, monkeypatch):
-    # A cache written under one hot fingerprint must come back cold
-    # after the implementation (fingerprint) changes — the exact
-    # situation a rule/model edit in a new commit produces.
+    # A program entry (verify summary + hot facts) written under one
+    # fingerprint must come back cold after the implementation
+    # (fingerprint) changes — the exact situation a model edit in a
+    # new commit produces.
     import repro.analysis.lint.cache as cache_mod
 
     target = tmp_path / "mod.py"
     target.write_text(OK_SOURCE)
-    cache = AnalysisCache(tmp_path / "cache", kind="hot")
+    cache = AnalysisCache(tmp_path / "cache", kind="program")
     cache.put(target, {"summary": {}, "hot": {}})
     cache.save()
 
-    assert AnalysisCache(tmp_path / "cache", kind="hot").get(
+    assert AnalysisCache(tmp_path / "cache", kind="program").get(
         target) is not None
 
     monkeypatch.setattr(cache_mod, "implementation_fingerprint",
                         lambda kind="lint": "f" * 64)
-    stale = AnalysisCache(tmp_path / "cache", kind="hot")
+    stale = AnalysisCache(tmp_path / "cache", kind="program")
     assert stale.get(target) is None
     assert stale.misses == 1
 
 
 def test_cross_analyzer_cache_file_is_never_served(tmp_path):
     # Regression for the shared-directory hazard: populate a cache as
-    # one analyzer, then impersonate it as another analyzer's file (the
-    # exact on-disk state a rename/copy or a kind collision would
-    # produce). The second analyzer must treat it as cold, not serve
-    # the foreign payload.
-    target = tmp_path / "mod.py"
-    target.write_text(OK_SOURCE)
-    verify = AnalysisCache(tmp_path / "cache", kind="verify")
-    verify.put(target, {"summary": {"module": "mod"}})
-    verify.save()
-
-    cache_dir = tmp_path / "cache"
-    (cache_dir / "verify.json").rename(cache_dir / "det.json")
-    det = AnalysisCache(cache_dir, kind="det")
-    assert det.get(target) is None
-    assert det.misses == 1
-
-
-def test_lint_and_verify_kinds_are_separate_files(tmp_path):
+    # one kind, then impersonate it as the other kind's file (the
+    # exact on-disk state a rename/copy would produce). The second
+    # kind must treat it as cold, not serve the foreign payload.
     target = tmp_path / "mod.py"
     target.write_text(OK_SOURCE)
     lint = AnalysisCache(tmp_path / "cache", kind="lint")
-    verify = AnalysisCache(tmp_path / "cache", kind="verify")
     lint.put(target, {"violations": []})
     lint.save()
-    verify.put(target, {"summary": {"module": "mod"}})
-    verify.save()
+
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "lint.json").rename(cache_dir / "program.json")
+    program = AnalysisCache(cache_dir, kind="program")
+    assert program.get(target) is None
+    assert program.misses == 1
+
+
+def test_lint_and_verify_kinds_are_separate_files(tmp_path):
+    # verify's summaries are cached in the program kind.
+    target = tmp_path / "mod.py"
+    target.write_text(OK_SOURCE)
+    lint = AnalysisCache(tmp_path / "cache", kind="lint")
+    program = AnalysisCache(tmp_path / "cache", kind="program")
+    lint.put(target, {"violations": []})
+    lint.save()
+    program.put(target, {"summary": {"module": "mod"}, "hot": {}})
+    program.save()
     assert (tmp_path / "cache" / "lint.json").exists()
-    assert (tmp_path / "cache" / "verify.json").exists()
+    assert (tmp_path / "cache" / "program.json").exists()
     assert AnalysisCache(tmp_path / "cache",
-                         kind="verify").get(target) == {
-        "summary": {"module": "mod"}}
+                         kind="program").get(target) == {
+        "summary": {"module": "mod"}, "hot": {}}
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +168,13 @@ def test_lint_and_verify_kinds_are_separate_files(tmp_path):
 # ----------------------------------------------------------------------
 def _count_analyze_calls(monkeypatch):
     calls = []
-    real = lint_cli.analyze_file
+    real = lint_core.analyze_file
 
     def counting(path, rules):
         calls.append(path)
         return real(path, rules)
 
-    monkeypatch.setattr(lint_cli, "analyze_file", counting)
+    monkeypatch.setattr(lint_core, "analyze_file", counting)
     return calls
 
 
@@ -184,20 +184,23 @@ def test_warm_cli_run_skips_analysis_entirely(tmp_path, monkeypatch, capsys):
     cache_dir = str(tmp_path / "cache")
     calls = _count_analyze_calls(monkeypatch)
 
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert main([str(tmp_path), "--select", "lint", "--cache-dir",
+                 cache_dir]) == 1
     assert len(calls) == 2  # cold: both files parsed
     cold_out = capsys.readouterr().out
     assert "no-wallclock" in cold_out
 
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert main([str(tmp_path), "--select", "lint", "--cache-dir",
+                 cache_dir]) == 1
     assert calls == []  # warm: zero re-analysis
     assert "no-wallclock" in capsys.readouterr().out  # findings replayed
 
     # Editing one file re-analyzes exactly that file.
     (tmp_path / "ok.py").write_text(OK_SOURCE + "Y = 2\n")
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert main([str(tmp_path), "--select", "lint", "--cache-dir",
+                 cache_dir]) == 1
     assert calls == [tmp_path / "ok.py"]
 
 
@@ -206,8 +209,8 @@ def test_no_cache_flag_always_reanalyzes(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
     calls = _count_analyze_calls(monkeypatch)
     for _ in range(2):
-        assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir,
-                              "--no-cache"]) == 0
+        assert main([str(tmp_path), "--cache-dir", cache_dir,
+                     "--no-cache"]) == 0
     assert len(calls) == 2
     assert not (tmp_path / "cache").exists()
 
@@ -217,12 +220,13 @@ def test_select_subset_bypasses_the_cache(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
     calls = _count_analyze_calls(monkeypatch)
     # A subset run must not seed the cache with subset results...
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir,
-                          "--select", "no-ambient-random"]) == 0
+    assert main([str(tmp_path), "--cache-dir", cache_dir,
+                 "--select", "lint:no-ambient-random"]) == 0
     assert not (tmp_path / "cache").exists()
     # ...and a later full run must analyze from scratch.
     calls.clear()
-    assert lint_cli.main([str(tmp_path), "--cache-dir", cache_dir]) == 1
+    assert main([str(tmp_path), "--select", "lint", "--cache-dir",
+                 cache_dir]) == 1
     assert len(calls) == 1
 
 
@@ -278,10 +282,8 @@ def test_hot_changed_cli_restricts_findings_to_changed_files(
     # The whole program is still assembled (reachability needs it),
     # but only findings in changed files are reported — and a clean
     # working tree short-circuits.
-    from repro.analysis.hot.cli import main as hot_main
-
-    assert hot_main(["src", "--changed", "--since", "HEAD",
-                     "--no-cache"]) == 0
+    assert main(["src", "--select", "hot", "--changed", "--since",
+                 "HEAD", "--no-cache"]) == 0
     assert "no changed files" in capsys.readouterr().out
 
     hot_bad = (
@@ -293,28 +295,28 @@ def test_hot_changed_cli_restricts_findings_to_changed_files(
         "def on_event(sim, now):\n"
         "    sim.schedule(now, Record(now))\n")
     (git_repo / "src" / "hot_dirty.py").write_text(hot_bad)
-    assert hot_main(["src", "--changed", "--since", "HEAD",
-                     "--no-cache"]) == 1
+    assert main(["src", "--select", "hot", "--changed", "--since",
+                 "HEAD", "--no-cache"]) == 1
     assert "unslotted-hot-class" in capsys.readouterr().out
 
     # The same finding vanishes when the file is already committed
     # (nothing changed), even though the program still contains it.
     _git(git_repo, "add", ".")
     _git(git_repo, "commit", "-q", "-m", "hot fixture")
-    assert hot_main(["src", "--changed", "--since", "HEAD",
-                     "--no-cache"]) == 0
+    assert main(["src", "--select", "hot", "--changed", "--since",
+                 "HEAD", "--no-cache"]) == 0
     assert "no changed files" in capsys.readouterr().out
 
 
 def test_changed_cli_paths(git_repo, capsys):
-    assert lint_cli.main(["src", "--changed", "--since", "HEAD",
-                          "--no-cache"]) == 0
+    assert main(["src", "--changed", "--since", "HEAD",
+                 "--no-cache"]) == 0
     assert "no changed files" in capsys.readouterr().out
 
     (git_repo / "src" / "dirty.py").write_text(BAD_SOURCE)
-    assert lint_cli.main(["src", "--changed", "--since", "HEAD",
-                          "--no-cache"]) == 1
+    assert main(["src", "--changed", "--since", "HEAD",
+                 "--no-cache"]) == 1
     assert "no-wallclock" in capsys.readouterr().out
 
-    assert lint_cli.main(["src", "--changed", "--since", "no-such-rev",
-                          "--no-cache"]) == 2
+    assert main(["src", "--changed", "--since", "no-such-rev",
+                 "--no-cache"]) == 2

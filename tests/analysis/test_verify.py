@@ -15,15 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.verify import (
-    analyze_program,
-    build_program,
-    default_rules,
-    registered_rules,
-)
-from repro.analysis.verify.cli import main
+from repro.analysis.front import build_hot_program, main, run_suite
+from repro.analysis.verify import registered_rules
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis" / "verify"
+LINT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "analysis"
+FIXTURES = LINT_FIXTURES / "verify"
 
 ALL_RULE_IDS = {
     "nondeterministic-iteration",
@@ -33,11 +29,19 @@ ALL_RULE_IDS = {
 }
 
 
-def findings(target: str, rule_id: str):
+def analyze(paths, rule_ids=None):
+    """verify's findings over ``paths`` (default: every verify rule)."""
+    selection = {"verify": rule_ids or sorted(ALL_RULE_IDS)}
+    return run_suite(paths, selection)["verify"]
+
+
+def findings(target: str, rule_id: str, root: Path = FIXTURES):
     """(rule, line) pairs from one rule over one fixture file/package."""
-    rule = registered_rules()[rule_id]()
-    return [(v.rule, v.line)
-            for v in analyze_program([FIXTURES / target], [rule])]
+    return [(v.rule, v.line) for v in analyze([root / target], [rule_id])]
+
+
+def build_program(paths):
+    return build_hot_program(paths).program
 
 
 def test_registry_has_the_four_program_rules():
@@ -46,7 +50,6 @@ def test_registry_has_the_four_program_rules():
     for rule_id, rule_class in registry.items():
         assert rule_class.id == rule_id
         assert rule_class.description
-    assert {rule.id for rule in default_rules()} == ALL_RULE_IDS
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +84,7 @@ def test_dimension_mismatch_negative():
 
 
 # ----------------------------------------------------------------------
-# untiebroken-event-transitive: tree-wide, unlike lint's net-only rule.
+# untiebroken-event-transitive: tree-wide.
 # ----------------------------------------------------------------------
 def test_untiebroken_event_transitive_positive():
     assert findings("untiebroken_bad.py", "untiebroken-event-transitive") == [
@@ -92,6 +95,37 @@ def test_untiebroken_event_transitive_positive():
 
 def test_untiebroken_event_transitive_negative():
     assert findings("untiebroken_ok.py", "untiebroken-event-transitive") == []
+
+
+# The per-directory lint rule ``untiebroken-event`` folded into this
+# one; its fixtures stay as extra inputs so the fold keeps covering
+# every line the lint rule used to flag.
+def test_untiebroken_event_transitive_covers_net_layer():
+    assert findings("net/untiebroken_bad.py",
+                    "untiebroken-event-transitive", LINT_FIXTURES) == [
+        ("untiebroken-event-transitive", 5),  # schedule(...)
+        ("untiebroken-event-transitive", 6),  # schedule_at(...)
+    ]
+
+
+def test_untiebroken_event_transitive_negative_with_priority():
+    assert findings("net/untiebroken_ok.py",
+                    "untiebroken-event-transitive", LINT_FIXTURES) == []
+
+
+def test_untiebroken_event_transitive_covers_sched_layer():
+    assert findings("sched/untiebroken_bad.py",
+                    "untiebroken-event-transitive", LINT_FIXTURES) == [
+        ("untiebroken-event-transitive", 5),  # schedule_at(...)
+    ]
+
+
+def test_untiebroken_event_transitive_covers_faults_layer():
+    assert findings("faults/untiebroken_bad.py",
+                    "untiebroken-event-transitive", LINT_FIXTURES) == [
+        ("untiebroken-event-transitive", 5),  # schedule_at(down_at, ...)
+        ("untiebroken-event-transitive", 6),  # schedule_at(up_at, ...)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +144,7 @@ def test_unreleased_reservation_negative():
 
 
 # ----------------------------------------------------------------------
-# Suppressions flow through the Program just like in repro-lint.
+# Suppressions flow through the Program just like in lint.
 # ----------------------------------------------------------------------
 def test_suppression_silences_exactly_the_named_rule(tmp_path):
     source = (
@@ -121,7 +155,7 @@ def test_suppression_silences_exactly_the_named_rule(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(source)
-    assert [(v.rule, v.line) for v in analyze_program([path])] == [
+    assert [(v.rule, v.line) for v in analyze([path])] == [
         ("untiebroken-event-transitive", 3),
     ]
 
@@ -153,28 +187,29 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     bad = str(FIXTURES / "untiebroken_bad.py")
     ok = str(FIXTURES / "untiebroken_ok.py")
 
-    assert main([bad, "--cache-dir", cache_dir]) == 1
+    assert main([bad, "--select", "verify", "--cache-dir", cache_dir]) == 1
     out = capsys.readouterr().out
     assert "untiebroken-event-transitive" in out
 
-    assert main([ok, "--cache-dir", cache_dir]) == 0
+    assert main([ok, "--select", "verify", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()  # drop the "clean" line before the JSON run
 
-    assert main([bad, "--format", "json", "--no-cache"]) == 1
+    assert main([bad, "--select", "verify", "--format", "json",
+                 "--no-cache"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 2
-    assert payload["summary"]["by_rule"] == {
-        "untiebroken-event-transitive": 2}
+    assert [v["rule"] for v in payload["findings"]["verify"]] == \
+        ["untiebroken-event-transitive"] * 2
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ALL_RULE_IDS:
-        assert rule_id in out
+        assert f"verify:{rule_id}:" in out
 
 
 def test_cli_select_unknown_rule_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([str(FIXTURES / "dims_ok.py"), "--select", "no-such-rule"])
+        main([str(FIXTURES / "dims_ok.py"), "--select",
+              "verify:no-such-rule"])
     assert excinfo.value.code == 2

@@ -2,13 +2,13 @@
 
 A tiny single-kernel workload whose RNG streams are named by
 *registration order* — a mutated module-level counter — instead of the
-session id.  Statically, ``repro-det`` flags both halves of the bug:
+session id.  Statically, the det analyzer flags both halves of the bug:
 the counter mutation happens on a kernel-reachable path
 (shared-mutable-state) and the stream name reads mutated module state
 (rng-stream-discipline).  Dynamically, shuffling the registration
 order hands each session a different substream, so arrival times — and
 the per-session arrival counts — diverge: exactly the class of bug
-``repro-det --perturb`` exists to catch.
+``repro-analyze --perturb`` exists to catch.
 """
 
 from repro.sim.kernel import Simulator

@@ -1,58 +1,55 @@
 """Tier-1 gate: the source tree passes its own static analysis.
 
-Runs every registered DES-invariant rule over ``src/repro`` and fails
-on any unsuppressed violation. This is the enforcement point for the
-determinism/unit discipline documented in ``docs/static_analysis.md``:
-a regression here means some new code reads the wall clock, draws from
-ambient RNG state, compares timestamps with ``==``, passes unitless
-literals, or schedules net-layer events without a tie-break.
+Runs every registered rule of all four analyzers over ``src/repro``
+(one :func:`~repro.analysis.front.run_suite` call shared by the four
+gates) and fails on any unsuppressed finding. This is the enforcement
+point for the determinism/unit discipline documented in
+``docs/static_analysis.md``: a regression here means some new code
+reads the wall clock, draws from ambient RNG state, compares
+timestamps with ``==``, passes unitless literals, schedules events
+without a tie-break, or adds a provable per-event cost.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.analysis.det import analyze_determinism
-from repro.analysis.hot import analyze_hot
-from repro.analysis.lint import analyze_paths, registered_rules, render_text
-from repro.analysis.verify import analyze_program
+from repro.analysis.front import run_suite
+from repro.analysis.lint import render_text
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
-def test_src_tree_passes_static_analysis():
-    rules = [cls() for cls in registered_rules().values()]
-    violations = analyze_paths([SRC_REPRO], rules)
+@pytest.fixture(scope="module")
+def findings():
+    return run_suite([SRC_REPRO])
+
+
+def _assert_clean(violations, label: str, doc: str) -> None:
     assert not violations, (
-        "static analysis violations in src/repro "
+        f"{label} violations in src/repro "
         "(fix them, or suppress with a justified '# repro: disable=' "
-        "comment — see docs/static_analysis.md):\n"
-        + render_text(violations))
+        f"comment — see {doc}):\n" + render_text(violations))
 
 
-def test_src_tree_passes_whole_program_analysis():
-    violations = analyze_program([SRC_REPRO])
-    assert not violations, (
-        "whole-program (repro-verify) violations in src/repro "
-        "(fix them, or suppress with a justified '# repro: disable=' "
-        "comment — see docs/static_analysis.md):\n"
-        + render_text(violations))
+def test_src_tree_passes_static_analysis(findings):
+    _assert_clean(findings["lint"], "static analysis (lint)",
+                  "docs/static_analysis.md")
 
 
-def test_src_tree_passes_determinism_analysis():
-    violations = analyze_determinism([SRC_REPRO])
-    assert not violations, (
-        "determinism (repro-det) violations in src/repro "
-        "(fix them, or suppress with a justified '# repro: disable=' "
-        "comment — see docs/determinism.md):\n"
-        + render_text(violations))
+def test_src_tree_passes_whole_program_analysis(findings):
+    _assert_clean(findings["verify"], "whole-program (verify)",
+                  "docs/static_analysis.md")
 
 
-def test_src_tree_passes_hot_path_analysis():
-    violations = analyze_hot([SRC_REPRO])
-    assert not violations, (
-        "hot-path (repro-hot) violations in src/repro "
-        "(fix them, or suppress with a justified '# repro: disable=' "
-        "comment — see docs/hot_path_analysis.md):\n"
-        + render_text(violations))
+def test_src_tree_passes_determinism_analysis(findings):
+    _assert_clean(findings["det"], "determinism (det)",
+                  "docs/determinism.md")
+
+
+def test_src_tree_passes_hot_path_analysis(findings):
+    _assert_clean(findings["hot"], "hot-path (hot)",
+                  "docs/hot_path_analysis.md")
